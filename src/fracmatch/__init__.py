@@ -13,7 +13,6 @@ from .fm import (
     canonical_fm,
     canonicalize_fm,
     extract_fm,
-    is_fractional_perfect,
     oracle_alpha_exhaustive,
 )
 
@@ -22,7 +21,6 @@ from .partition import (
     PropertyReport,
     good_partition,
     partition_dump,
-    repair,
     verify_partition,
 )
 
@@ -44,15 +42,12 @@ from .ngbounds import (
     construct_complement_fm_nearquarter,
     ng_sum,
     sweep_with_rows,
-    verify_theorem_sweep,
 )
 
 from .harness import (
     SampleSpec,
-    dedup_by_signature,
     enumerate_graphs,
     enumeration_count,
-    graph_signature,
     resolve_workers,
     run_sweep,
     sample_graph,
@@ -80,7 +75,6 @@ __all__ = [
     "PropertyReport",
     "good_partition",
     "verify_partition",
-    "repair",
     "partition_dump",
     "FractionalMatching",
     "BergeWitness",
@@ -89,7 +83,6 @@ __all__ = [
     "canonical_fm",
     "canonicalize_fm",
     "extract_fm",
-    "is_fractional_perfect",
     "oracle_alpha_exhaustive",
     "FamilyLabel",
     "FamilyTag",
@@ -104,7 +97,6 @@ __all__ = [
     "ng_sum",
     "construct_complement_fm",
     "construct_complement_fm_nearquarter",
-    "verify_theorem_sweep",
     "sweep_with_rows",
     "SampleSpec",
     "enumerate_graphs",
@@ -114,8 +106,6 @@ __all__ = [
     "sample_masks",
     "run_sweep",
     "resolve_workers",
-    "graph_signature",
-    "dedup_by_signature",
     "BULK_MAX_N",
     "bulk_alpha2",
     "SuiteResult",

@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .bipartite import BipartiteGraph, BipartiteMatching, hopcroft_karp
+from .bipartite import BipartiteGraph, hopcroft_karp
 from .errors import InternalInconsistencyError, PreconditionError
 from .graph import Graph, VertexSet, bits
 from .halfint import HalfInt
@@ -197,10 +197,6 @@ def double_cover(g: Graph) -> BipartiteGraph:
     return BipartiteGraph(g.n, g.n, [tuple(bits(g.row(v))) for v in range(g.n)])
 
 
-def max_bipartite_matching(b: BipartiteGraph) -> BipartiteMatching:
-    return hopcroft_karp(b)
-
-
 @lru_cache(maxsize=1 << 16)
 def alpha2(g: Graph) -> int:
     """2*alpha'(g) as a plain int (the double-cover matching size)."""
@@ -340,10 +336,6 @@ def _assert_canonical_shape(f: FractionalMatching) -> None:
 def canonical_fm(g: Graph) -> FractionalMatching:
     """extract_fm followed by canonicalize_fm."""
     return canonicalize_fm(g, extract_fm(g))
-
-
-def is_fractional_perfect(f: FractionalMatching) -> bool:
-    return all(load == 2 for load in f._loads)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import PreconditionError
-from .graph import Graph, bits, edge_slots
+from .graph import Graph, edge_slots
 from .ngbounds import SweepStats, empty_stats, sweep_with_rows
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -54,12 +54,6 @@ def _splitmix64_np(z: np.ndarray) -> np.ndarray:
 # Enumeration.
 
 
-@dataclass(frozen=True)
-class EnumerationCursor:
-    n: int
-    mask: int
-
-
 def enumeration_count(n: int) -> int:
     return 1 << (n * (n - 1) // 2)
 
@@ -75,27 +69,6 @@ def enumerate_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
     if n < 0:
         raise PreconditionError("negative vertex count")
     return (Graph.from_mask(n, mask) for mask in range(enumeration_count(n)))
-
-
-def graph_signature(g: Graph) -> Tuple:
-    """Cheap isomorphism-invariant key (degree sequence plus sorted
-    neighbour-degree multisets). Heuristic: distinct graphs may collide, so
-    this is for report counting only, never for correctness filters."""
-    degs = [g.degree(v) for v in range(g.n)]
-    profile = sorted(
-        (degs[v], tuple(sorted(degs[u] for u in bits(g.row(v)))))
-        for v in range(g.n)
-    )
-    return (g.n, tuple(profile))
-
-
-def dedup_by_signature(graphs: Iterator[Graph]) -> Iterator[Graph]:
-    seen = set()
-    for g in graphs:
-        key = graph_signature(g)
-        if key not in seen:
-            seen.add(key)
-            yield g
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +193,22 @@ def _chunk_ranges(total: int, pieces: int) -> List[Tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def plan_sweep(total: int, requested: int, cpus: int) -> Tuple[int, List[Tuple[int, int]]]:
+    """Chunk ranges for a sweep of total graphs and the number of worker
+    processes to run them on: the requested count clamped to the usable CPUs
+    and to the number of chunks. 1 means no pool, as for an empty population."""
+    workers = min(requested, cpus)
+    ranges = _chunk_ranges(total, workers * 4)
+    return max(1, min(workers, len(ranges))), ranges
+
+
 def _sweep_task(args) -> Tuple[SweepStats, List[str]]:
     kind, payload, which, lo, hi = args
     if kind == "enumerate":
@@ -241,7 +230,7 @@ def run_sweep(
     back sorted by graph6 key, so output is identical for any worker count."""
     if (enumerate_n is None) == (spec is None):
         raise PreconditionError("exactly one of enumerate_n and spec is required")
-    workers = resolve_workers(workers)
+    requested = resolve_workers(workers)
     if enumerate_n is not None:
         limit = ENUM_HARD_MAX_N if allow_large else ENUM_DEFAULT_MAX_N
         if not 0 <= enumerate_n <= limit:
@@ -253,10 +242,8 @@ def run_sweep(
     else:
         total = spec.count
         kind, payload = "sample", spec
-    tasks = [
-        (kind, payload, which, lo, hi)
-        for lo, hi in _chunk_ranges(total, workers * 4)
-    ]
+    workers, ranges = plan_sweep(total, requested, usable_cpus())
+    tasks = [(kind, payload, which, lo, hi) for lo, hi in ranges]
     stats = empty_stats(which)
     rows: List[str] = []
     if workers == 1:

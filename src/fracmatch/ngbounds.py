@@ -630,7 +630,9 @@ def sweep_with_rows(
         total += 1
         family = ""
         if tb.equality:
-            label = classify_equality_family(g, which)
+            # The three bound values differ, so an applicable equality is the
+            # one ng_sum already classified.
+            label = rep.equality_family if tb.applies else classify_equality_family(g, which)
             if label is not None:
                 family = label.tag.value
         if tb.applies:
@@ -661,7 +663,3 @@ def sweep_with_rows(
     )
     return stats, rows
 
-
-def verify_theorem_sweep(graphs: Iterable[Graph], which: str) -> SweepStats:
-    stats, _ = sweep_with_rows(graphs, which)
-    return stats

@@ -149,7 +149,7 @@ def run_partition_suite(graphs: Iterable[Graph]) -> SuiteResult:
             continue
         report = verify_partition(g, p)
         if not report.all_ok():
-            failures.append(f"{key}: properties {report.failures()} fail after repair")
+            failures.append(f"{key}: properties {report.failures()} fail on the partition")
         if p.t != alpha_prime(g):
             failures.append(f"{key}: partition value {p.t} not optimal")
     return _result("partition", checked, failures)

@@ -15,7 +15,6 @@ from fracmatch.fm import (
     deficiency_of,
     double_cover,
     extract_fm,
-    is_fractional_perfect,
     oracle_alpha_exhaustive,
 )
 from fracmatch.generators import complete, cycle, disjoint_union, empty_graph, hgraph, path, star
@@ -158,7 +157,6 @@ def test_fm_masks_and_replace():
     assert f.full_mask() == 0b11000
     assert f.half_mask() == 0b00111
     assert f.unweighted_mask() == 0
-    assert is_fractional_perfect(f)
     f2 = f.replace({(3, 4): 0})
     assert f2.value == HalfInt(3)
     assert f2.unweighted_mask() == 0b11000

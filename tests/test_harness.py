@@ -15,18 +15,17 @@ from fracmatch.harness import (
     GOLDEN,
     SampleSpec,
     _chunk_ranges,
-    dedup_by_signature,
     enumerate_graphs,
     enumeration_count,
-    graph_signature,
+    plan_sweep,
     resolve_workers,
     run_sweep,
     sample_graph,
     sample_graphs,
     sample_masks,
     splitmix64,
+    usable_cpus,
 )
-from fracmatch.selftest import shuffled
 
 
 # ---------------------------------------------------------------- enumeration
@@ -151,6 +150,19 @@ def test_resolve_workers_env(monkeypatch):
         resolve_workers(0)
 
 
+def test_plan_sweep_clamps_workers():
+    # pure: starts no process
+    assert plan_sweep(1500, 2, 2)[0] == 2
+    assert plan_sweep(1500, 1000, 2)[0] == 2
+    assert plan_sweep(1500, 1000, 2)[1] == _chunk_ranges(1500, 8)
+    assert plan_sweep(1500, 3, 64)[0] == 3
+    assert plan_sweep(3, 8, 16) == (3, [(0, 1), (1, 2), (2, 3)])
+    assert plan_sweep(1, 8, 4) == (1, [(0, 1)])
+    assert plan_sweep(0, 8, 4) == (1, [])
+    assert plan_sweep(100, 1, 4) == (1, _chunk_ranges(100, 4))
+    assert usable_cpus() >= 1
+
+
 def test_chunk_ranges_cover():
     for total in (0, 1, 7, 64):
         for pieces in (1, 2, 5):
@@ -159,24 +171,6 @@ def test_chunk_ranges_cover():
                 itertools.chain.from_iterable(range(lo, hi) for lo, hi in ranges)
             )
             assert flat == list(range(total))
-
-
-# ------------------------------------------------------------------ signature
-
-
-def test_signature_relabel_invariant():
-    spec = SampleSpec(n=9, p_num=1, p_den=2, count=10, seed=4)
-    for idx, g in enumerate(sample_graphs(spec)):
-        assert graph_signature(shuffled(g, idx)) == graph_signature(g)
-
-
-def test_dedup_is_heuristic_reduction():
-    graphs = list(enumerate_graphs(4))
-    kept = list(dedup_by_signature(iter(graphs)))
-    # 11 isomorphism classes on 4 vertices; the heuristic may keep more,
-    # never fewer, and always keeps the first representative.
-    assert 11 <= len(kept) < len(graphs)
-    assert kept[0] == graphs[0]
 
 
 # ----------------------------------------------------------------------- bulk

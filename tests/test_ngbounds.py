@@ -10,7 +10,6 @@ from fracmatch import (
     good_partition,
     ng_sum,
     sweep_with_rows,
-    verify_theorem_sweep,
 )
 from fracmatch.families import FamilyTag
 from fracmatch.fm import alpha2
@@ -394,17 +393,27 @@ def test_sweep_counts_and_rows():
     assert rows[1] == "C?,4,0,2,2,2,1,1,EmptyGraph"
 
 
+def test_sweep_family_column_with_and_without_applicability():
+    # n < 28: the nonempty bound does not apply, yet its equality is classified
+    stats, rows = sweep_with_rows([star(4)], "nonempty")
+    assert rows == ["Cs,4,1,3/2,5/2,5/2,1,1,StarUnion"]
+    assert stats.applies == 0 and stats.equality == 0
+    stats, rows = sweep_with_rows([star(28)], "nonempty")
+    assert rows[0].endswith(",1,1,StarUnion")
+    assert stats.equality == stats.characterization_match == 1
+
+
 def test_sweep_merge_matches_single_pass():
     graphs = [star(k) for k in range(2, 9)] + [cycle(k) for k in range(3, 9)]
-    whole = verify_theorem_sweep(graphs, "basic")
-    a = verify_theorem_sweep(graphs[:5], "basic")
-    b = verify_theorem_sweep(graphs[5:], "basic")
+    whole = sweep_with_rows(graphs, "basic")[0]
+    a = sweep_with_rows(graphs[:5], "basic")[0]
+    b = sweep_with_rows(graphs[5:], "basic")[0]
     merged = empty_stats("basic").merge(a).merge(b)
     assert merged == whole
 
 
 def test_sweep_json_and_header():
-    stats = verify_theorem_sweep([empty_graph(5)], "basic")
+    stats = sweep_with_rows([empty_graph(5)], "basic")[0]
     d = stats.to_json()
     assert d["bound"] == "basic"
     assert d["total"] == 1 and d["equality"] == 1
@@ -416,7 +425,7 @@ def test_sweep_json_and_header():
 
 def test_sweep_rejects_unknown_bound():
     with pytest.raises(ValueError):
-        verify_theorem_sweep([empty_graph(5)], "strong")
+        sweep_with_rows([empty_graph(5)], "strong")
 
 
 def test_bound_values():

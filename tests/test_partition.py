@@ -1,26 +1,22 @@
-"""Good-partition construction, verification, and the exchange rules."""
+"""Good-partition construction and verification."""
 
 import json
 
 import pytest
 
-from fracmatch.errors import InternalInconsistencyError, PreconditionError
-from fracmatch.fm import FractionalMatching, alpha2
-from fracmatch.generators import add_isolates, complete, cycle, disjoint_union, k2pql, path, star
+from fracmatch import partition
+from fracmatch.errors import InternalInconsistencyError
+from fracmatch.fm import FractionalMatching, alpha2, canonicalize_fm
+from fracmatch.generators import add_isolates, complete, cycle, disjoint_union, k2pql, star
 from fracmatch.graph import Graph, bits
 from fracmatch.halfint import HalfInt
 from fracmatch.partition import (
     GoodPartition,
-    _attempt_swap,
+    PropertyReport,
+    _build_partition,
     check_partition_structure,
     good_partition,
     partition_dump,
-    repair,
-    swap_cycle_vertex_out,
-    swap_half_triangle,
-    swap_v11_edge,
-    swap_x_edge,
-    swap_x_v2_edge,
     verify_partition,
 )
 
@@ -104,30 +100,6 @@ def test_dump_roundtrip():
 # ------------------------------------------------------------ structure gate
 
 
-def _p4_suboptimal_partition():
-    g = path(4)
-    f = FractionalMatching(g, {(1, 2): 2})
-    p = GoodPartition(
-        v11=frozenset(),
-        v12=frozenset({1, 2}),
-        v21=frozenset(),
-        v22=frozenset({0, 3}),
-        x=frozenset(),
-        s=0,
-        t=HalfInt(2),
-        fm=f,
-        pairing=(),
-    )
-    return g, p
-
-
-def test_repair_refuses_suboptimal():
-    g, p = _p4_suboptimal_partition()
-    check_partition_structure(g, p)  # structurally fine, value is the issue
-    with pytest.raises(PreconditionError):
-        repair(g, p)
-
-
 def test_structure_check_rejects_bad_fields():
     g = star(8)
     p = good_partition(g)
@@ -151,74 +123,13 @@ def test_structure_check_rejects_bad_fields():
         check_partition_structure(g, overlapping)
 
 
-# ------------------------------------------------------------ exchange rules
+# ------------------------------------------------------- optimum invariants
 
 
-def test_half_triangle_swap_gains_on_suboptimal():
-    g = cycle(3)
-    f = FractionalMatching(g, {(0, 1): 2})
-    out = swap_half_triangle(f, 0, 1, 2)
-    assert out.value == HalfInt(3)
-    assert out.items() == [((0, 1), 1), ((0, 2), 1), ((1, 2), 1)]
-
-
-def test_v11_edge_swap():
-    # path x-u-v-y with the middle edge matched; re-route to the outside
-    g = path(4)  # 0-1-2-3
-    f = FractionalMatching(g, {(1, 2): 2})
-    out = swap_v11_edge(f, 1, 2, 0, 3)
-    assert out.value == HalfInt(4)
-    assert out.weight_units(1, 2) == 0
-
-
-def test_x_edge_swap():
-    g = Graph.from_edges(6, [(0, 1), (2, 3), (1, 2), (0, 4), (3, 5)])
-    f = FractionalMatching(g, {(0, 1): 2, (2, 3): 2})
-    out = swap_x_edge(f, 1, 2, 0, 3, 4, 5)
-    assert out.value == HalfInt(6)
-
-
-def test_x_v2_edge_swap_distinct_targets():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
-    f = FractionalMatching(g, {(0, 1): 2})
-    out = swap_x_v2_edge(f, 0, 1, 2, 3)
-    assert out.value == HalfInt(4)
-
-
-def test_x_v2_edge_swap_shared_target():
-    g = cycle(3)
-    f = FractionalMatching(g, {(0, 1): 2})
-    out = swap_x_v2_edge(f, 0, 1, 2, 2)
-    assert out.value == HalfInt(3)
-
-
-def test_cycle_exit_swap_odd():
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
-    f = FractionalMatching(
-        g, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (0, 4): 1}
-    )
-    out = swap_cycle_vertex_out(f, [0, 1, 2, 3, 4], 0, 5)
-    assert out.value == HalfInt(6)
-    assert out.weight_units(0, 5) == 2
-
-
-def test_swap_premise_guards():
-    g = cycle(3)
-    f = FractionalMatching(g, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
-    with pytest.raises(InternalInconsistencyError):
-        swap_half_triangle(f, 0, 1, 2)
-
-
-def test_attempt_swap_without_configuration():
-    g = disjoint_union(complete(2), complete(2))
-    p = good_partition(g)
-    with pytest.raises(InternalInconsistencyError):
-        _attempt_swap(g, p, "one_edge_no_common_v2_neighbor")
-
-
-def test_repair_resolves_even_half_cycle():
-    """An even half-cycle is a legal optimal matching; a paired vertex on it
-    fails the fullness property and the cycle-exit rule must resolve it."""
+def test_canonicalize_rebuilds_even_half_cycle():
+    """An even half-cycle is a legal optimal matching on which a paired
+    vertex is not full; canonicalising it and rebuilding the partition gives
+    the same value with all five properties."""
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
     f = FractionalMatching(g, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
     assert f.value.units == alpha2(g)
@@ -235,7 +146,20 @@ def test_repair_resolves_even_half_cycle():
     )
     check_partition_structure(g, p)
     assert not verify_partition(g, p).all_ok()
-    fixed = repair(g, p)
-    assert verify_partition(g, fixed).all_ok()
-    assert fixed.x == frozenset({4})
-    assert fixed.fm.one_edges() == [(0, 4), (1, 2)]
+    rebuilt = _build_partition(g, canonicalize_fm(g, f))
+    check_partition_structure(g, rebuilt)
+    assert rebuilt.t == f.value
+    assert verify_partition(g, rebuilt).all_ok()
+
+
+def test_failed_property_is_an_internal_error(monkeypatch):
+    failing = PropertyReport(
+        one_edge_no_common_v2_neighbor=True,
+        v11_internal_edges_unweighted=True,
+        v11_all_full=False,
+        x_independent=True,
+        no_edge_x_to_v2=True,
+    )
+    monkeypatch.setattr(partition, "verify_partition", lambda g, p: failing)
+    with pytest.raises(InternalInconsistencyError, match="v11_all_full"):
+        good_partition(star(8))
