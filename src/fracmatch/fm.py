@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from .bipartite import BipartiteGraph, hopcroft_karp
 from .errors import InternalInconsistencyError, PreconditionError
-from .graph import Graph, VertexSet, bits
+from .graph import Graph, VertexSet, bits, mask_of
 from .halfint import HalfInt
 
 Edge = Tuple[int, int]
@@ -181,9 +181,7 @@ class BergeWitness:
 
 
 def deficiency_of(g: Graph, s_set: Iterable[int]) -> int:
-    s_mask = 0
-    for v in s_set:
-        s_mask |= 1 << v
+    s_mask = mask_of(s_set)
     iso = 0
     for v in bits(((1 << g.n) - 1) & ~s_mask):
         if g.row(v) & ~s_mask == 0:

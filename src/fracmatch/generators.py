@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .graph import Graph
 
 
@@ -87,28 +85,3 @@ def add_isolates(g: Graph, k: int) -> Graph:
     if k < 0:
         raise ValueError("negative isolate count")
     return Graph(g.n + k, [g.row(v) for v in range(g.n)] + [0] * k)
-
-
-_REGISTRY = {
-    "empty": empty_graph,
-    "complete": complete,
-    "cycle": cycle,
-    "star": star,
-    "path": path,
-    "complete_bipartite": complete_bipartite,
-    "k2pql": k2pql,
-    "hgraph": hgraph,
-}
-
-
-def generate(name: str, *params: int) -> Graph:
-    """Build a named family member, e.g. generate("k2pql", 3, 1, 2)."""
-    try:
-        builder = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; known: {sorted(_REGISTRY)}") from None
-    return builder(*params)
-
-
-def family_names() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))

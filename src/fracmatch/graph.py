@@ -18,6 +18,14 @@ def bits(x: int) -> Iterator[int]:
         x ^= b
 
 
+def mask_of(vs: Iterable[int]) -> int:
+    """The int mask with bit v set for each v in vs; the inverse of bits."""
+    m = 0
+    for v in vs:
+        m |= 1 << v
+    return m
+
+
 @lru_cache(maxsize=None)
 def edge_slots(n: int) -> Tuple[Tuple[int, int], ...]:
     """Vertex pairs (u, v), u < v, in the lexicographic slot order used by

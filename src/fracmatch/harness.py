@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,9 +58,9 @@ def enumeration_count(n: int) -> int:
     return 1 << (n * (n - 1) // 2)
 
 
-def enumerate_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
-    """All labeled graphs on n vertices in ascending edge-mask order.
-    Guarded at n <= 7 by default; n = 8 (2^28 graphs) needs allow_large."""
+def _check_enumeration(n: int, allow_large: bool) -> None:
+    """Enumeration is guarded at n <= 7 by default; n = 8 (2^28 graphs)
+    needs allow_large."""
     limit = ENUM_HARD_MAX_N if allow_large else ENUM_DEFAULT_MAX_N
     if n > limit:
         raise PreconditionError(
@@ -68,6 +68,11 @@ def enumerate_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
         )
     if n < 0:
         raise PreconditionError("negative vertex count")
+
+
+def enumerate_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
+    """All labeled graphs on n vertices in ascending edge-mask order."""
+    _check_enumeration(n, allow_large)
     return (Graph.from_mask(n, mask) for mask in range(enumeration_count(n)))
 
 
@@ -232,11 +237,7 @@ def run_sweep(
         raise PreconditionError("exactly one of enumerate_n and spec is required")
     requested = resolve_workers(workers)
     if enumerate_n is not None:
-        limit = ENUM_HARD_MAX_N if allow_large else ENUM_DEFAULT_MAX_N
-        if not 0 <= enumerate_n <= limit:
-            raise PreconditionError(
-                f"enumeration of n={enumerate_n} exceeds the guard (limit {limit})"
-            )
+        _check_enumeration(enumerate_n, allow_large)
         total = enumeration_count(enumerate_n)
         kind, payload = "enumerate", enumerate_n
     else:

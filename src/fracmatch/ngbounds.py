@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import InternalInconsistencyError, PreconditionError
 from .families import FamilyLabel, classify_equality_family
 from .fm import FractionalMatching, alpha2, extract_fm
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
 from .graph6 import emit_graph6
 from .halfint import HalfInt
 from .partition import GoodPartition
@@ -132,13 +132,6 @@ class CaseDescriptor:
     fallback: bool = False
 
 
-def _mask_of(vs: Iterable[int]) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
-
-
 def _pairs(lefts: Sequence[int], rights: Sequence[int]) -> Dict[Edge, int]:
     if len(lefts) != len(rights):
         raise InternalInconsistencyError(
@@ -172,8 +165,25 @@ def _finish(
     return f, CaseDescriptor(rule=rule, case=case, claimed=claimed, fallback=fallback)
 
 
-def _both_isolate_free(g: Graph, gc: Graph) -> bool:
-    return not g.isolated_vertices() and not gc.isolated_vertices()
+def applicable_rules(g: Graph, gc: Graph, p: GoodPartition) -> Tuple[str, ...]:
+    """The construction rules whose preconditions hold, weakest first.
+    Every rule needs n >= 2 and a support side of at most n/2 vertices
+    (value at most n/4); plus_half also needs s >= 1 and both graphs
+    isolate-free; plus_one also needs s equal to the value with s >= 3."""
+    T2, s = p.t.units, p.s
+    if g.n < 2 or 2 * T2 > g.n:
+        return ()
+    if s < 1 or g.isolated_vertices() or gc.isolated_vertices():
+        return ("base",)
+    if T2 == 2 * s and s >= 3:
+        return ("base", "plus_half", "plus_one")
+    return ("base", "plus_half")
+
+
+_UNMET = {
+    "plus_half": "plus_half needs s >= 1 and both sides isolate-free",
+    "plus_one": "plus_one needs s = value >= 3 and both sides isolate-free",
+}
 
 
 def construct_complement_fm(
@@ -182,42 +192,23 @@ def construct_complement_fm(
     """Complement matching with value at least (n-s)/2 (rule "base"),
     (n-s+1)/2 ("plus_half"), or (n-s+2)/2 ("plus_one"), built from the
     partition without computing any complement matching. rule=None picks
-    the strongest variant whose preconditions hold.
-
-    Preconditions: n >= 2 and support side at most n/2 vertices (value at
-    most n/4); plus_half also needs s >= 1 and both graphs isolate-free;
-    plus_one also needs s equal to the value with s >= 3, isolate-free both.
+    the strongest rule in applicable_rules, which holds the preconditions.
     """
-    n = g.n
-    if n < 2:
-        raise PreconditionError("construction needs n >= 2")
-    T2, s = p.t.units, p.s
-    if 2 * T2 > n:
-        raise PreconditionError(
-            f"value {p.t} exceeds n/4 = {Fraction(n, 4)}; leftover accounting fails"
-        )
     gc = g.complement()
-    iso_free = _both_isolate_free(g, gc)
+    rules = applicable_rules(g, gc, p)
+    if not rules:
+        if g.n < 2:
+            raise PreconditionError("construction needs n >= 2")
+        raise PreconditionError(
+            f"value {p.t} exceeds n/4 = {Fraction(g.n, 4)}; leftover accounting fails"
+        )
     if rule is None:
-        if T2 == 2 * s and s >= 3 and iso_free:
-            rule = "plus_one"
-        elif s >= 1 and iso_free:
-            rule = "plus_half"
-        else:
-            rule = "base"
-    if rule == "base":
-        return _base_rule(g, gc, p)
-    if rule == "plus_half":
-        if s < 1 or not iso_free:
-            raise PreconditionError("plus_half needs s >= 1 and both sides isolate-free")
-        return _plus_half_rule(g, gc, p)
-    if rule == "plus_one":
-        if T2 != 2 * s or s < 3 or not iso_free:
-            raise PreconditionError(
-                "plus_one needs s = value >= 3 and both sides isolate-free"
-            )
-        return _plus_one_rule(g, gc, p)
-    raise ValueError(f"unknown rule {rule!r}")
+        rule = rules[-1]
+    if rule not in _RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    if rule not in rules:
+        raise PreconditionError(_UNMET[rule])
+    return _RULES[rule](g, gc, p)
 
 
 def _base_rule(g: Graph, gc: Graph, p: GoodPartition):
@@ -295,31 +286,15 @@ def _plus_half_rule(g: Graph, gc: Graph, p: GoodPartition):
         raise InternalInconsistencyError(
             f"complement neighbour landed in {location} although s = {p.s}"
         )
-    xs = sorted(p.x)
-    v1, v2 = xs[0], xs[1]
-    pair_edge = {(min(v1, v2), max(v1, v2)): 2}
-
-    if location == "v11":
-        rest12 = [x for x in v12 if x != v1 and x != v2]
-        k = len(rest12)
-        weights = {**uv, **pair_edge, **_pairs(rest12, v22[len(v22) - k :])}
-        weights.update(_half_cycle(sorted(v21 + v22[: len(v22) - k])))
-        return _finish(gc, weights, "plus_half", "v_in_v11", claimed)
-    if location == "v21":
-        rest12 = [x for x in v12 if x != v1 and x != v2]
-        k = len(rest12)
-        weights = {**uv, **pair_edge, **_pairs(rest12, v22[len(v22) - k :])}
-        weights.update(
-            _half_cycle(sorted([x for x in v21 if x != v] + v22[: len(v22) - k]))
-        )
-        return _finish(gc, weights, "plus_half", "v_in_v21", claimed)
-    # location == "v22"
-    v22r = [x for x in v22 if x != v]
+    v1, v2 = sorted(p.x)[:2]
+    # v lies in at most one of v21 and v22; drop it before placing the rest
+    v21 = [x for x in v21 if x != v]
+    v22 = [x for x in v22 if x != v]
     rest12 = [x for x in v12 if x != v1 and x != v2]
     k = len(rest12)
-    weights = {**uv, **pair_edge, **_pairs(rest12, v22r[len(v22r) - k :])}
-    weights.update(_half_cycle(sorted(v21 + v22r[: len(v22r) - k])))
-    return _finish(gc, weights, "plus_half", "v_in_v22", claimed)
+    weights = {**uv, (min(v1, v2), max(v1, v2)): 2, **_pairs(rest12, v22[len(v22) - k :])}
+    weights.update(_half_cycle(sorted(v21 + v22[: len(v22) - k])))
+    return _finish(gc, weights, "plus_half", f"v_in_{location}", claimed)
 
 
 def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
@@ -328,9 +303,9 @@ def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
     v12 = sorted(p.v12)
     v21 = sorted(p.v21)
     v22 = sorted(p.v22)
-    v2_mask = _mask_of(v21) | _mask_of(v22)
-    v11_mask = _mask_of(v11)
-    v12_mask = _mask_of(v12)
+    v2_mask = mask_of(p.unweighted_side)
+    v11_mask = mask_of(v11)
+    v12_mask = mask_of(v12)
     claimed = Fraction(n - s + 2, 2)
 
     # an internal complement edge on the paired support side
@@ -419,6 +394,9 @@ def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
     return _finish(gc, weights, "plus_one", "v11_to_v12", claimed)
 
 
+_RULES = {"base": _base_rule, "plus_half": _plus_half_rule, "plus_one": _plus_one_rule}
+
+
 def _residual(v1: int, v2: int, reserved: Sequence[int]) -> Dict[Edge, int]:
     base: Dict[Edge, int] = {}
     r = len(reserved)
@@ -442,21 +420,27 @@ def _residual_case(r: int) -> str:
     return {0: "r0", 1: "r1", 2: "r2"}.get(r, "r3plus")
 
 
+def nearquarter_window(n: int) -> Tuple[int, int]:
+    """The two values of 2t just above n/4 that the near-quarter
+    construction covers: 2*floor(n/4) + (1, 2) for n % 4 in {0, 1} and
+    2*floor(n/4) + (2, 3) for n % 4 in {2, 3}."""
+    lo = 2 * (n // 4) + (1 if n % 4 < 2 else 2)
+    return lo, lo + 1
+
+
 def construct_complement_fm_nearquarter(
     g: Graph, p: GoodPartition, require_order: bool = True
 ) -> Tuple[FractionalMatching, CaseDescriptor]:
     """Complement matching with value at least (n - t)/2 when the value t
-    sits just above n/4: 2t in {2*floor(n/4)+1, 2*floor(n/4)+2} for
-    n % 4 in {0, 1} and {2*floor(n/4)+2, 2*floor(n/4)+3} for n % 4 in {2, 3}.
+    sits just above n/4, that is 2t in nearquarter_window(n).
     The n >= 28 gate can be lifted with require_order=False to probe
     threshold tightness; the structural recipe is unchanged.
     """
     n, T2, s = g.n, p.t.units, p.s
-    q = n // 4
-    allowed = {2 * q + 1, 2 * q + 2} if n % 4 in (0, 1) else {2 * q + 2, 2 * q + 3}
+    allowed = nearquarter_window(n)
     if T2 not in allowed:
         raise PreconditionError(
-            f"value {p.t} does not sit just above n/4 (allowed 2t in {sorted(allowed)})"
+            f"value {p.t} does not sit just above n/4 (allowed 2t in {list(allowed)})"
         )
     if require_order and n < MIN_STATED_ORDER:
         raise PreconditionError(

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 from .bipartite import BipartiteGraph, hopcroft_karp
 from .errors import InternalInconsistencyError
 from .fm import FractionalMatching, alpha2, canonical_fm  # alpha2: fmbench smoke test checks it
-from .graph import Graph, VertexSet, bits
+from .graph import Graph, VertexSet, bits, mask_of
 from .halfint import HalfInt
 
 Pairing = Tuple[Tuple[int, int], ...]
@@ -72,18 +72,12 @@ class PropertyReport:
 def check_partition_structure(g: Graph, p: GoodPartition) -> None:
     """Raise ValueError unless p is structurally consistent with g."""
     parts = [p.v11, p.v12, p.v21, p.v22]
-    union = 0
-    total = 0
-    for part in parts:
-        for v in part:
-            union |= 1 << v
-        total += len(part)
-    if total != g.n or union != (1 << g.n) - 1:
+    if sum(map(len, parts)) != g.n or mask_of(frozenset().union(*parts)) != (1 << g.n) - 1:
         raise ValueError("parts do not partition the vertex set")
     if p.fm.host != g:
         raise ValueError("matching belongs to a different graph")
     support = p.fm.support_mask()
-    if _mask(p.v11 | p.v12) != support or _mask(p.v21 | p.v22) != support ^ ((1 << g.n) - 1):
+    if mask_of(p.v11 | p.v12) != support or mask_of(p.v21 | p.v22) != support ^ ((1 << g.n) - 1):
         raise ValueError("sides do not match the matching's support")
     if p.t != p.fm.value:
         raise ValueError("t does not equal the matching value")
@@ -101,13 +95,6 @@ def check_partition_structure(g: Graph, p: GoodPartition) -> None:
             raise ValueError("pairing edges are not independent")
         used.add(u)
         used.add(w)
-
-
-def _mask(vs: FrozenSet[int]) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
 
 
 def _build_partition(g: Graph, f: FractionalMatching) -> GoodPartition:
@@ -154,9 +141,9 @@ def _build_partition(g: Graph, f: FractionalMatching) -> GoodPartition:
 
 def verify_partition(g: Graph, p: GoodPartition) -> PropertyReport:
     """Check the five structural properties; returns a report, never raises."""
-    v2_mask = _mask(p.v21 | p.v22)
-    x_mask = _mask(p.x)
-    v11_mask = _mask(p.v11)
+    v2_mask = mask_of(p.v21 | p.v22)
+    x_mask = mask_of(p.x)
+    v11_mask = mask_of(p.v11)
 
     prop_a = True
     for u, v in p.fm.one_edges():

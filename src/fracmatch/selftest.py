@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .bulk import bulk_alpha2
 from .errors import InternalInconsistencyError, PreconditionError
@@ -42,10 +42,12 @@ from .harness import (
 )
 from .ngbounds import (
     MIN_STATED_ORDER,
+    applicable_rules,
     construct_complement_fm,
     construct_complement_fm_nearquarter,
+    nearquarter_window,
 )
-from .partition import good_partition, verify_partition
+from .partition import good_partition
 
 MAX_REPORTED_FAILURES = 20
 
@@ -147,9 +149,6 @@ def run_partition_suite(graphs: Iterable[Graph]) -> SuiteResult:
         except Exception as exc:
             failures.append(f"{key}: partition failed: {exc}")
             continue
-        report = verify_partition(g, p)
-        if not report.all_ok():
-            failures.append(f"{key}: properties {report.failures()} fail on the partition")
         if p.t != alpha_prime(g):
             failures.append(f"{key}: partition value {p.t} not optimal")
     return _result("partition", checked, failures)
@@ -178,18 +177,8 @@ def run_classifier_suite(max_n: int = 5) -> SuiteResult:
 # ---------------------------------------------------------------------------
 # Complement constructions.
 
-STRICT_ORDER = MIN_STATED_ORDER
-
-
-def _nearquarter_allowed(n: int) -> Tuple[int, ...]:
-    q = n // 4
-    if n % 4 in (0, 1):
-        return (2 * q + 1, 2 * q + 2)
-    return (2 * q + 2, 2 * q + 3)
-
-
 def run_construction_suite(
-    graphs: Iterable[Graph], strict_from: int = STRICT_ORDER
+    graphs: Iterable[Graph], strict_from: int = MIN_STATED_ORDER
 ) -> Tuple[SuiteResult, Dict[Tuple[str, str], int]]:
     """Probe every construction whose stated preconditions hold. Below
     strict_from, errors count as probe misses (the recipes only promise
@@ -206,21 +195,18 @@ def run_construction_suite(
         except Exception as exc:
             failures.append(f"{key}: partition failed: {exc}")
             continue
-        t2, s = p.t.units, p.s
         gc = g.complement()
         cap = alpha2(gc)
-        iso_free = not g.isolated_vertices() and not gc.isolated_vertices()
-        probes: List[str] = []
-        if n >= 2 and 2 * t2 <= n:
-            probes.append("base")
-            if s >= 1 and iso_free:
-                probes.append("plus_half")
-            if t2 == 2 * s and s >= 3 and iso_free:
-                probes.append("plus_one")
+        probes = list(applicable_rules(g, gc, p))
+        if p.t.units in nearquarter_window(n):
+            probes.append("near_quarter")
         for rule in probes:
             checked += 1
             try:
-                f, case = construct_complement_fm(g, p, rule)
+                if rule == "near_quarter":
+                    f, case = construct_complement_fm_nearquarter(g, p, require_order=False)
+                else:
+                    f, case = construct_complement_fm(g, p, rule)
             except (PreconditionError, InternalInconsistencyError) as exc:
                 if n >= strict_from:
                     failures.append(f"{key} {rule}: {exc}")
@@ -229,21 +215,6 @@ def run_construction_suite(
                 failures.append(f"{key} {rule}: value {f.value} beats optimum")
             if Fraction(f.value.units, 2) < case.claimed:
                 failures.append(f"{key} {rule}: value below claim {case.claimed}")
-            coverage[(case.rule, case.case)] = coverage.get((case.rule, case.case), 0) + 1
-        if n >= 2 and t2 in _nearquarter_allowed(n):
-            checked += 1
-            try:
-                f, case = construct_complement_fm_nearquarter(
-                    g, p, require_order=False
-                )
-            except (PreconditionError, InternalInconsistencyError) as exc:
-                if n >= strict_from:
-                    failures.append(f"{key} near_quarter: {exc}")
-                continue
-            if f.value.units > cap:
-                failures.append(f"{key} near_quarter: value {f.value} beats optimum")
-            if Fraction(f.value.units, 2) < case.claimed:
-                failures.append(f"{key} near_quarter: below claim {case.claimed}")
             coverage[(case.rule, case.case)] = coverage.get((case.rule, case.case), 0) + 1
     return _result("construction", checked, failures), coverage
 
@@ -405,7 +376,7 @@ def threshold_probe(lo: int = 8, hi: int = 35) -> List[Tuple[str, int, bool]]:
     the largest failing order in the data."""
     rows: List[Tuple[str, int, bool]] = []
     for n in range(lo, hi + 1):
-        for t2 in _nearquarter_allowed(n):
+        for t2 in nearquarter_window(n):
             for family, g in _window_mixes(n, t2):
                 p = good_partition(g)
                 if p.t.units != t2:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fracmatch.errors import InternalInconsistencyError, PreconditionError
+from fracmatch.errors import PreconditionError
 from fracmatch.fm import (
     FractionalMatching,
     alpha2,

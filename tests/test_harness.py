@@ -1,10 +1,10 @@
 """Enumeration, seeded sampling, bulk evaluation, and sweep determinism."""
 
 import itertools
-import os
 
 import pytest
 
+from fracmatch import harness
 from fracmatch.bulk import bulk_alpha2
 from fracmatch.errors import PreconditionError
 from fracmatch.fm import alpha2
@@ -48,6 +48,17 @@ def test_enumeration_guard():
         enumerate_graphs(9, allow_large=True)
     g = next(iter(enumerate_graphs(8, allow_large=True)))
     assert g.n == 8
+
+
+@pytest.mark.parametrize(
+    "n,allow_large,message",
+    [(8, False, "exceeds the guard"), (9, True, "exceeds the guard"), (-1, False, "negative")],
+)
+def test_sweep_enumeration_guard(monkeypatch, n, allow_large, message):
+    # The guard must fire before the population is even counted.
+    monkeypatch.setattr(harness, "enumeration_count", None)
+    with pytest.raises(PreconditionError, match=message):
+        run_sweep("basic", enumerate_n=n, allow_large=allow_large, workers=1)
 
 
 # ------------------------------------------------------------------- sampling

@@ -23,7 +23,14 @@ from fracmatch.generators import (
     star,
 )
 from fracmatch.graph import Graph
-from fracmatch.ngbounds import CSV_HEADER, empty_stats, theorem_bound_value
+from fracmatch.ngbounds import (
+    CSV_HEADER,
+    applicable_rules,
+    empty_stats,
+    nearquarter_window,
+    theorem_bound_value,
+)
+from fracmatch.selftest import branch_corpus
 
 
 def all_graphs(n):
@@ -253,6 +260,19 @@ def test_auto_rule_selection():
     assert desc.rule == "base"
 
 
+@pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in branch_corpus()])
+def test_applicable_rules_match_the_dispatcher(g):
+    p = good_partition(g)
+    accepted = []
+    for rule in ("base", "plus_half", "plus_one"):
+        try:
+            construct_complement_fm(g, p, rule)
+        except PreconditionError:
+            continue
+        accepted.append(rule)
+    assert applicable_rules(g, g.complement(), p) == tuple(accepted)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_constructions_exhaustive_small(n):
     seen = set()
@@ -279,6 +299,12 @@ def test_constructions_exhaustive_small(n):
 
 # ---------------------------------------------------------------------------
 # near-quarter construction
+
+
+def test_nearquarter_window_pins():
+    assert [nearquarter_window(n) for n in (28, 29, 30, 31)] == [
+        (15, 16), (15, 16), (16, 17), (16, 17)
+    ]
 
 
 def test_nearquarter_rejects_wrong_value():
