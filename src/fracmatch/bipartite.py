@@ -1,126 +1,133 @@
-"""Deterministic maximum bipartite matching with a certifying vertex cover."""
+"""Deterministic maximum bipartite matching on bit rows, with a certifying
+König vertex cover.
+
+The left side is 0..len(rows)-1 and rows[u] is the int mask of u's right
+neighbours in 0..n_right-1. A graph's own adjacency rows are therefore its
+bipartite double cover (left copy u, right copy v, joined iff uv is an
+edge), whose maximum matching is twice the fractional matching number.
+"""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import InternalInconsistencyError
 
 
-class BipartiteGraph:
-    """Bipartite graph on sides {0..n_left-1} and {0..n_right-1}; adj[u] is
-    the ascending tuple of right neighbours of left vertex u."""
-
-    __slots__ = ("n_left", "n_right", "adj")
-
-    def __init__(self, n_left: int, n_right: int, adj: Sequence[Sequence[int]]):
-        if len(adj) != n_left:
-            raise ValueError(f"expected {n_left} adjacency lists, got {len(adj)}")
-        rows: List[Tuple[int, ...]] = []
-        for u, nbrs in enumerate(adj):
-            row = tuple(sorted(nbrs))
-            for v in row:
-                if not 0 <= v < n_right:
-                    raise ValueError(f"right vertex {v} out of range in row {u}")
-            rows.append(row)
-        self.n_left = n_left
-        self.n_right = n_right
-        self.adj = tuple(rows)
-
-    def edge_count(self) -> int:
-        return sum(len(r) for r in self.adj)
-
-
 @dataclass(frozen=True)
 class BipartiteMatching:
-    """Maximum matching plus the equal-size vertex cover certifying it."""
+    """Maximum matching plus the equal-size vertex cover certifying it;
+    the cover sides are int masks."""
 
     size: int
     pair_left: Tuple[int, ...]
     pair_right: Tuple[int, ...]
-    cover_left: FrozenSet[int]
-    cover_right: FrozenSet[int]
+    cover_left: int
+    cover_right: int
 
 
-def hopcroft_karp(b: BipartiteGraph) -> BipartiteMatching:
-    """Maximum matching via Hopcroft-Karp with a fixed exploration order
-    (free vertices and adjacency ascending), so the matching and the derived
-    cover are deterministic for a fixed input labeling."""
-    nl, nr, adj = b.n_left, b.n_right, b.adj
+def hopcroft_karp(rows: Sequence[int], n_right: int) -> BipartiteMatching:
+    """Maximum matching via Hopcroft-Karp with a fixed exploration order:
+    free left vertices and candidate right vertices ascending.
+
+    The first phase is a greedy pass (each left vertex takes its lowest free
+    neighbour). Each later phase layers the left vertices by alternating
+    distance from the free ones, one OR of rows per layer, then augments
+    from each free left vertex in turn by depth-first search over
+    rows[u] & (free right | right vertices whose partner sits one layer
+    deeper). The cover is read off the last layering: the unreached left
+    vertices and the reached right vertices.
+    """
+    nl = len(rows)
+    if rows and (min(rows) < 0 or max(rows) >> n_right):
+        raise ValueError(f"a row has a right vertex outside 0..{n_right - 1}")
     pair_l = [-1] * nl
-    pair_r = [-1] * nr
-    dist = [-1] * nl
+    pair_r = [-1] * n_right
+    free_r = (1 << n_right) - 1
+    free_l = 0
+    for u, r in enumerate(rows):
+        c = r & free_r
+        if c:
+            b = c & -c
+            v = b.bit_length() - 1
+            pair_l[u] = v
+            pair_r[v] = u
+            free_r ^= b
+        else:
+            free_l |= 1 << u
 
-    def bfs() -> bool:
-        q = deque()
-        for u in range(nl):
-            if pair_l[u] == -1:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = -1
-        found = False
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                w = pair_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return found
+    # layer_r[d]: matched right vertices whose partner sits at layer d, kept
+    # current as the phase augments (partner moves) and dead-ends (drops).
+    layer_r: List[int] = []
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
+    def dfs(u: int, d: int) -> bool:
+        nonlocal free_r
+        cand = rows[u] & (free_r | layer_r[d + 1])
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            v = b.bit_length() - 1
             w = pair_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_l[u] = v
-                pair_r[v] = u
-                return True
-        dist[u] = -1
+            if w == -1:
+                free_r ^= b
+            elif dfs(w, d + 1):
+                layer_r[d + 1] ^= b
+            else:
+                layer_r[d + 1] &= ~b
+                continue
+            layer_r[d] |= b
+            pair_l[u] = v
+            pair_r[v] = u
+            return True
         return False
 
-    size = 0
-    while bfs():
-        for u in range(nl):
-            if pair_l[u] == -1 and dfs(u):
-                size += 1
+    while True:
+        layer_r[:] = [0]
+        frontier = reached_l = free_l
+        reached_r = 0
+        found = False
+        while frontier:
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                reach |= rows[b.bit_length() - 1]
+                frontier ^= b
+            new = reach & ~reached_r
+            reached_r |= new
+            if new & free_r:
+                found = True
+            new &= ~free_r
+            layer_r.append(new)
+            while new:
+                b = new & -new
+                frontier |= 1 << pair_r[b.bit_length() - 1]
+                new ^= b
+            reached_l |= frontier
+        if not found:
+            break
+        roots = free_l
+        while roots:
+            b = roots & -roots
+            roots ^= b
+            if dfs(b.bit_length() - 1, 0):
+                free_l ^= b
 
-    # Alternating reachability from the free left vertices gives the
-    # minimum vertex cover (uncovered-left union reached-right).
-    seen_l = [False] * nl
-    seen_r = [False] * nr
-    q = deque()
-    for u in range(nl):
-        if pair_l[u] == -1:
-            seen_l[u] = True
-            q.append(u)
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if pair_l[u] == v or seen_r[v]:
-                continue
-            seen_r[v] = True
-            w = pair_r[v]
-            if w != -1 and not seen_l[w]:
-                seen_l[w] = True
-                q.append(w)
-    cover_left = frozenset(u for u in range(nl) if not seen_l[u])
-    cover_right = frozenset(v for v in range(nr) if seen_r[v])
-
-    if len(cover_left) + len(cover_right) != size:
+    size = nl - free_l.bit_count()
+    cover_left = ((1 << nl) - 1) & ~reached_l
+    cover_right = reached_r
+    if cover_left.bit_count() + cover_right.bit_count() != size:
         raise InternalInconsistencyError(
-            f"cover size {len(cover_left) + len(cover_right)} != matching size {size}"
+            f"cover size {cover_left.bit_count() + cover_right.bit_count()} "
+            f"!= matching size {size}"
         )
-    for u in range(nl):
-        if u in cover_left:
-            continue
-        for v in adj[u]:
-            if v not in cover_right:
-                raise InternalInconsistencyError(f"edge ({u},{v}) escapes the cover")
+    escape = 0
+    while reached_l:
+        b = reached_l & -reached_l
+        escape |= rows[b.bit_length() - 1]
+        reached_l ^= b
+    if escape & ~cover_right:
+        raise InternalInconsistencyError("an edge escapes the cover")
 
     return BipartiteMatching(
         size=size,

@@ -1,21 +1,23 @@
 """Exact fractional matching engine.
 
 Values are integer half-units throughout (edge weight 1/2 <-> 1 unit,
-weight 1 <-> 2 units). The matching number is computed as half the maximum
-matching of the bipartite double cover, certified two independent ways:
-a König cover on the double cover and the isolated-vertex deficiency
-formula max over S of i(G-S) - |S| = n - 2*alpha'.
+weight 1 <-> 2 units). The matching number is half the maximum matching of
+the bipartite double cover, whose left rows are the graph's own adjacency
+rows. One Hopcroft-Karp solve gives the value, the matching and a König
+cover; the cover certifies the value inside the solver, and the vertices
+covered on both sides are a Berge witness S for the isolated-vertex
+deficiency formula max over S of i(G-S) - |S| = n - 2*alpha', checked by
+recount.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from .bipartite import BipartiteGraph, hopcroft_karp
+from .bipartite import hopcroft_karp
 from .errors import InternalInconsistencyError, PreconditionError
 from .graph import Graph, VertexSet, bits, mask_of
 from .halfint import HalfInt
@@ -189,63 +191,21 @@ def deficiency_of(g: Graph, s_set: Iterable[int]) -> int:
     return iso - s_mask.bit_count()
 
 
-def double_cover(g: Graph) -> BipartiteGraph:
-    """Bipartite double cover: two copies of V, left u adjacent to right v
-    iff uv is an edge of g. Its maximum matching size is exactly 2*alpha'(g)."""
-    return BipartiteGraph(g.n, g.n, [tuple(bits(g.row(v))) for v in range(g.n)])
-
-
-@lru_cache(maxsize=1 << 16)
 def alpha2(g: Graph) -> int:
     """2*alpha'(g) as a plain int (the double-cover matching size)."""
-    return hopcroft_karp(double_cover(g)).size
+    return hopcroft_karp(g.rows, g.n).size
 
 
 def alpha_prime(g: Graph) -> HalfInt:
     return HalfInt(alpha2(g))
 
 
-def _berge_brute(g: Graph) -> BergeWitness:
-    n = g.n
-    full = (1 << n) - 1
-    if n <= 12:
-        best = -(n + 1)
-        best_mask = 0
-        for s_mask in range(1 << n):
-            iso = 0
-            for v in bits(full & ~s_mask):
-                if g.row(v) & ~s_mask == 0:
-                    iso += 1
-            d = iso - s_mask.bit_count()
-            if d > best:
-                best = d
-                best_mask = s_mask
-        return BergeWitness(frozenset(bits(best_mask)), best)
-    # Vectorized over all subsets; argmax picks the smallest maximizing mask,
-    # matching the scalar loop above.
-    subsets = np.arange(1 << n, dtype=np.uint32)
-    iso = np.zeros(1 << n, dtype=np.int8)
-    for v in range(n):
-        row = np.uint32(g.row(v))
-        vbit = np.uint32(1 << v)
-        iso += ((subsets & row) == row) & ((subsets & vbit) == 0)
-    d = iso.astype(np.int16) - np.bitwise_count(subsets).astype(np.int16)
-    best_mask = int(np.argmax(d))
-    return BergeWitness(frozenset(bits(best_mask)), int(d[best_mask]))
-
-
-def berge_deficiency(g: Graph, brute_threshold: int = 24) -> BergeWitness:
-    """Maximizer of i(G-S) - |S|.
-
-    Exhaustive over all 2^n subsets for n <= brute_threshold (first maximizer
-    in ascending mask order); above that the witness is derived from the
-    double-cover minimum vertex cover (vertices covered on both sides) and
-    revalidated by recount against n - 2*alpha'.
-    """
-    if g.n <= brute_threshold:
-        return _berge_brute(g)
-    m = hopcroft_karp(double_cover(g))
-    s_set = frozenset(m.cover_left & m.cover_right)
+def berge_deficiency(g: Graph) -> BergeWitness:
+    """Maximizer of i(G-S) - |S|: S is the set of vertices covered on both
+    sides of the double-cover König cover, revalidated by recount against
+    n - 2*alpha'."""
+    m = hopcroft_karp(g.rows, g.n)
+    s_set = frozenset(bits(m.cover_left & m.cover_right))
     d = deficiency_of(g, s_set)
     if d != g.n - m.size:
         raise InternalInconsistencyError(
@@ -257,7 +217,7 @@ def berge_deficiency(g: Graph, brute_threshold: int = 24) -> BergeWitness:
 def extract_fm(g: Graph) -> FractionalMatching:
     """An optimal-value half-integral matching read off the double cover:
     edge uv gets one half-unit per matched cover copy."""
-    m = hopcroft_karp(double_cover(g))
+    m = hopcroft_karp(g.rows, g.n)
     w: Dict[Edge, int] = {}
     for u in range(g.n):
         v = m.pair_left[u]
@@ -286,7 +246,10 @@ def canonicalize_fm(g: Graph, f: FractionalMatching) -> FractionalMatching:
         raise ValueError("matching belongs to a different graph")
     if f.value.units != alpha2(g):
         raise ValueError(f"matching value {f.value} is not optimal ({alpha_prime(g)})")
+    return _canonicalize(f)
 
+
+def _canonicalize(f: FractionalMatching) -> FractionalMatching:
     changes: Dict[Edge, int] = {}
     for kind, order in f.half_support_components():
         if kind == "cycle":
@@ -332,8 +295,9 @@ def _assert_canonical_shape(f: FractionalMatching) -> None:
 
 
 def canonical_fm(g: Graph) -> FractionalMatching:
-    """extract_fm followed by canonicalize_fm."""
-    return canonicalize_fm(g, extract_fm(g))
+    """extract_fm rewritten into the canonical shape. Its value is already
+    certified by the solver's cover, so it is not solved again."""
+    return _canonicalize(extract_fm(g))
 
 
 # ---------------------------------------------------------------------------

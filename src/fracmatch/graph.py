@@ -83,6 +83,12 @@ class Graph:
                 mask |= 1 << i
         return mask
 
+    @property
+    def rows(self) -> Tuple[int, ...]:
+        """All adjacency rows; as left rows over right copies of the same
+        vertices they are the graph's bipartite double cover."""
+        return self._rows
+
     def row(self, v: int) -> int:
         return self._rows[v]
 

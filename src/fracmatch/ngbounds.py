@@ -195,7 +195,14 @@ def construct_complement_fm(
     the strongest rule in applicable_rules, which holds the preconditions.
     """
     gc = g.complement()
-    rules = applicable_rules(g, gc, p)
+    return _construct(g, gc, p, applicable_rules(g, gc, p), rule)
+
+
+def _construct(
+    g: Graph, gc: Graph, p: GoodPartition, rules: Tuple[str, ...], rule: Optional[str]
+) -> Tuple[FractionalMatching, CaseDescriptor]:
+    """construct_complement_fm on a complement and rule tuple the caller
+    already holds (rules = applicable_rules(g, gc, p))."""
     if not rules:
         if g.n < 2:
             raise PreconditionError("construction needs n >= 2")

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .bipartite import BipartiteGraph, hopcroft_karp
+from .bipartite import hopcroft_karp
 from .errors import InternalInconsistencyError
 from .fm import FractionalMatching, alpha2, canonical_fm  # alpha2: fmbench smoke test checks it
 from .graph import Graph, VertexSet, bits, mask_of
@@ -99,20 +99,16 @@ def check_partition_structure(g: Graph, p: GoodPartition) -> None:
 
 def _build_partition(g: Graph, f: FractionalMatching) -> GoodPartition:
     v1 = sorted(bits(f.support_mask()))
-    v2 = sorted(bits(f.unweighted_mask()))
-    cross = BipartiteGraph(
-        len(v1),
-        len(v2),
-        [tuple(j for j, w in enumerate(v2) if g.adj(u, w)) for u in v1],
-    )
-    m = hopcroft_karp(cross)
+    unweighted = f.unweighted_mask()
+    # Right indices are vertex ids; their ascending order fixes the pairing.
+    m = hopcroft_karp([g.row(u) & unweighted for u in v1], g.n)
     pairing = tuple(
-        sorted((v1[i], v2[m.pair_left[i]]) for i in range(len(v1)) if m.pair_left[i] != -1)
+        sorted((v1[i], m.pair_left[i]) for i in range(len(v1)) if m.pair_left[i] != -1)
     )
     v11 = frozenset(u for u, _ in pairing)
     v21 = frozenset(w for _, w in pairing)
     v12 = frozenset(v1) - v11
-    v22 = frozenset(v2) - v21
+    v22 = frozenset(bits(unweighted)) - v21
 
     partner: Dict[int, int] = {}
     for a, b in f.one_edges():

@@ -1,7 +1,7 @@
 """Built-in consistency suites.
 
 Each suite cross-checks one layer of the package against an independent
-formulation (brute-force deficiency, the exhaustive weight-assignment
+formulation (the deficiency witness recount, the exhaustive weight-assignment
 oracle, the vectorized whole-population evaluator) or against invariants
 that must hold on every input (canonical matching shape, partition
 properties, construction feasibility, seeded-stream determinism). The
@@ -42,8 +42,8 @@ from .harness import (
 )
 from .ngbounds import (
     MIN_STATED_ORDER,
+    _construct,
     applicable_rules,
-    construct_complement_fm,
     construct_complement_fm_nearquarter,
     nearquarter_window,
 )
@@ -197,7 +197,8 @@ def run_construction_suite(
             continue
         gc = g.complement()
         cap = alpha2(gc)
-        probes = list(applicable_rules(g, gc, p))
+        rules = applicable_rules(g, gc, p)
+        probes = list(rules)
         if p.t.units in nearquarter_window(n):
             probes.append("near_quarter")
         for rule in probes:
@@ -206,7 +207,7 @@ def run_construction_suite(
                 if rule == "near_quarter":
                     f, case = construct_complement_fm_nearquarter(g, p, require_order=False)
                 else:
-                    f, case = construct_complement_fm(g, p, rule)
+                    f, case = _construct(g, gc, p, rules, rule)
             except (PreconditionError, InternalInconsistencyError) as exc:
                 if n >= strict_from:
                     failures.append(f"{key} {rule}: {exc}")

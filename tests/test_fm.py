@@ -13,7 +13,6 @@ from fracmatch.fm import (
     canonical_fm,
     canonicalize_fm,
     deficiency_of,
-    double_cover,
     extract_fm,
     oracle_alpha_exhaustive,
 )
@@ -109,29 +108,28 @@ def test_oracle_budget():
     assert oracle_alpha_exhaustive(complete(6), max_edges=15).units == 6
 
 
+def brute_max_deficiency(g):
+    """max over all 2^n subsets S of i(G-S) - |S|, by plain scan."""
+    full = (1 << g.n) - 1
+    best = -(g.n + 1)
+    for s_mask in range(1 << g.n):
+        iso = sum(1 for v in bits(full & ~s_mask) if g.row(v) & ~s_mask == 0)
+        best = max(best, iso - s_mask.bit_count())
+    return best
+
+
 def test_berge_cover_path_agrees_with_brute():
-    for n in range(1, 6):
-        for g in all_graphs(n):
-            brute = berge_deficiency(g)
-            cover = berge_deficiency(g, brute_threshold=0)
-            assert brute.deficiency == cover.deficiency
-            assert deficiency_of(g, cover.s_set) == brute.deficiency
-
-
-def test_berge_vectorized_brute_matches_scalar():
-    # n=13 takes the numpy branch; spot-check witnesses against recount
-    rng = random.Random(99)
-    for _ in range(5):
-        g = Graph.from_mask(13, rng.getrandbits(78))
+    rng = random.Random(612)
+    pop = [g for n in range(1, 6) for g in all_graphs(n)]
+    for n in range(6, 13):
+        for p in (0.1, 0.2, 0.35, 0.6):
+            pop.append(Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            ))
+    for g in pop:
         w = berge_deficiency(g)
-        assert w.deficiency == g.n - alpha2(g)
+        assert w.deficiency == brute_max_deficiency(g)
         assert deficiency_of(g, w.s_set) == w.deficiency
-
-
-def test_double_cover_shape():
-    dc = double_cover(cycle(4))
-    assert dc.n_left == dc.n_right == 4
-    assert dc.adj[0] == (1, 3)
 
 
 # --------------------------------------------------------------- container
@@ -228,5 +226,5 @@ def test_extract_on_larger_random_graphs():
         ]
         g = Graph.from_edges(n, edges)
         f = canonical_fm(g)
-        w = berge_deficiency(g, brute_threshold=0)
+        w = berge_deficiency(g)
         assert f.value.units == n - w.deficiency
