@@ -46,16 +46,6 @@ class FamilyLabel:
 # ----------------------------------------------------------- small helpers
 
 
-def _has_two_independent_edges(g: Graph) -> bool:
-    edges = list(g.edges())
-    for i, (a, b) in enumerate(edges):
-        excl = (1 << a) | (1 << b)
-        for c, d in edges[i + 1 :]:
-            if not excl & ((1 << c) | (1 << d)):
-                return True
-    return False
-
-
 def _cover_pair(g: Graph) -> Optional[Tuple[int, int]]:
     """Two vertices meeting every edge, or None. Any cover pair must contain
     an endpoint of the first edge, so only two candidates are scanned."""
@@ -205,10 +195,11 @@ def classify_small_alpha(g: Graph) -> Optional[FamilyLabel]:
     if k_non == 3 and m == 3:
         return FamilyLabel(FamilyTag.TriangleUnion)
 
-    # value 2
-    if k_non == 4 and _has_two_independent_edges(g):
+    # value 2. Edges that pairwise meet form a star or a triangle, both
+    # returned above, so two independent edges exist from here on.
+    if k_non == 4:
         return FamilyLabel(FamilyTag.Sandwich_2K2_K4)
-    if _cover_pair(g) is not None and _has_two_independent_edges(g):
+    if _cover_pair(g) is not None:
         return FamilyLabel(FamilyTag.Sandwich_2K2_K2pq)
 
     # value 5/2
@@ -279,8 +270,9 @@ def small_alpha_ng(g: Graph) -> SmallAlphaReport:
     plus degree-2 vertices (no threshold), 5/2 needs n >= 7.
     """
     n = g.n
+    gc = g.complement()
     a_g = alpha2(g)
-    a_c = alpha2(g.complement())
+    a_c = alpha2(gc)
     total = HalfInt(a_g + a_c)
 
     if a_g == 2:
@@ -312,10 +304,8 @@ def small_alpha_ng(g: Graph) -> SmallAlphaReport:
         criterion = (total == bound) == unique_universal
 
     complement_half = None
-    if a_g in (4, 5) and n >= 10:
-        comp = g.complement()
-        if not comp.isolated_vertices():
-            complement_half = a_c == n
+    if a_g in (4, 5) and n >= 10 and not gc.isolated_vertices():
+        complement_half = a_c == n
 
     return SmallAlphaReport(
         clause=clause,

@@ -1,13 +1,15 @@
 """Complement-sum bounds: exact sums, per-theorem reports, constructive
 complement matchings witnessing the lower bounds, and sweep aggregation.
 
-The constructions never compute a matching on the complement; they place
-weights edge by edge using only facts guaranteed by the good partition
-(the unweighted side is independent, so its complement is a clique; the
-support-side leftovers are complement-complete to the unweighted leftovers;
-the 1-edge partners of paired vertices form a complement clique with no
-complement non-edges into the unweighted side). Feasibility of every placed
-edge is re-checked by the matching container on the complement graph.
+The constructions never compute a matching on the complement, in any
+branch; they place weights edge by edge using only facts guaranteed by the
+good partition (the unweighted side is independent, so its complement is a
+clique; the support-side leftovers are complement-complete to the
+unweighted leftovers; the 1-edge partners of paired vertices form a
+complement clique with no complement non-edges into the unweighted side).
+A branch that meets a partition without these facts raises
+InternalInconsistencyError. Feasibility of every placed edge is re-checked
+by the matching container on the complement graph.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .families import FamilyLabel, classify_equality_family
-from .fm import FractionalMatching, alpha2, extract_fm
+from .fm import FractionalMatching, alpha2
 from .graph import Graph, bits, mask_of
 from .graph6 import emit_graph6
 from .halfint import HalfInt
@@ -132,12 +134,16 @@ class CaseDescriptor:
     fallback: bool = False
 
 
+def _e(a: int, b: int) -> Edge:
+    return (a, b) if a < b else (b, a)
+
+
 def _pairs(lefts: Sequence[int], rights: Sequence[int]) -> Dict[Edge, int]:
     if len(lefts) != len(rights):
         raise InternalInconsistencyError(
             f"pairing size mismatch: {len(lefts)} vs {len(rights)}"
         )
-    return {(min(a, b), max(a, b)): 2 for a, b in zip(lefts, rights)}
+    return {_e(a, b): 2 for a, b in zip(lefts, rights)}
 
 
 def _half_cycle(vertices: Sequence[int]) -> Dict[Edge, int]:
@@ -145,14 +151,54 @@ def _half_cycle(vertices: Sequence[int]) -> Dict[Edge, int]:
         raise InternalInconsistencyError(f"cycle needs >= 3 vertices, got {list(vertices)}")
     w: Dict[Edge, int] = {}
     for i, a in enumerate(vertices):
-        b = vertices[(i + 1) % len(vertices)]
-        w[(min(a, b), max(a, b))] = 1
+        w[_e(a, vertices[(i + 1) % len(vertices)])] = 1
     return w
 
 
+def _fill(
+    lefts: Sequence[int], v21: List[int], v22: List[int]
+) -> Tuple[Dict[Edge, int], List[int]]:
+    """1-edges from lefts onto the last len(lefts) vertices of v22, and the
+    sorted leftover: v21 plus the head of v22."""
+    k = len(v22) - len(lefts)
+    return _pairs(lefts, v22[k:]), sorted(v21 + v22[:k])
+
+
+def _cover(
+    leftover: List[int], spare: Optional[Edge] = None
+) -> Tuple[Dict[Edge, int], str]:
+    """Weights covering the leftover unweighted vertices (a complement
+    clique) and the case suffix r0, r1, r2 or r3plus from their count. A
+    spare 1-edge (a, b) is kept whole, except that one leftover vertex c
+    turns it into the half triangle a, b, c; without a spare, one leftover
+    vertex raises."""
+    r = len(leftover)
+    weights = {} if spare is None else {_e(*spare): 2}
+    if r == 1 and spare is not None:
+        (a, b), c = spare, leftover[0]
+        weights = {_e(a, b): 1, _e(a, c): 1, _e(b, c): 1}
+    elif r == 2:
+        weights[_e(*leftover)] = 2
+    elif r:
+        weights.update(_half_cycle(leftover))
+    return weights, ("r0", "r1", "r2")[r] if r < 3 else "r3plus"
+
+
+def _open_end(gc: Graph, x: int, edge: Edge) -> Edge:
+    """The internal 1-edge turned so that x is complement-adjacent to its
+    first end. Partition property (a) keeps x off one end in G."""
+    w, w1 = edge
+    if gc.adj(x, w):
+        return w, w1
+    if gc.adj(x, w1):
+        return w1, w
+    raise InternalInconsistencyError(
+        f"vertex {x} is adjacent to both ends of the internal 1-edge"
+    )
+
+
 def _finish(
-    gc: Graph, weights: Dict[Edge, int], rule: str, case: str, claimed: Fraction,
-    fallback: bool = False,
+    gc: Graph, weights: Dict[Edge, int], rule: str, case: str, claimed: Fraction
 ) -> Tuple[FractionalMatching, CaseDescriptor]:
     try:
         f = FractionalMatching(gc, weights)
@@ -162,7 +208,7 @@ def _finish(
         raise InternalInconsistencyError(
             f"{rule}/{case}: built value {f.value} below claimed {claimed}"
         )
-    return f, CaseDescriptor(rule=rule, case=case, claimed=claimed, fallback=fallback)
+    return f, CaseDescriptor(rule=rule, case=case, claimed=claimed)
 
 
 def applicable_rules(g: Graph, gc: Graph, p: GoodPartition) -> Tuple[str, ...]:
@@ -195,14 +241,7 @@ def construct_complement_fm(
     the strongest rule in applicable_rules, which holds the preconditions.
     """
     gc = g.complement()
-    return _construct(g, gc, p, applicable_rules(g, gc, p), rule)
-
-
-def _construct(
-    g: Graph, gc: Graph, p: GoodPartition, rules: Tuple[str, ...], rule: Optional[str]
-) -> Tuple[FractionalMatching, CaseDescriptor]:
-    """construct_complement_fm on a complement and rule tuple the caller
-    already holds (rules = applicable_rules(g, gc, p))."""
+    rules = applicable_rules(g, gc, p)
     if not rules:
         if g.n < 2:
             raise PreconditionError("construction needs n >= 2")
@@ -211,7 +250,8 @@ def _construct(
         )
     if rule is None:
         rule = rules[-1]
-    if rule not in _RULES:
+    # near_quarter has its own entry point and gate
+    if rule == "near_quarter" or rule not in _RULES:
         raise ValueError(f"unknown rule {rule!r}")
     if rule not in rules:
         raise PreconditionError(_UNMET[rule])
@@ -219,40 +259,20 @@ def _construct(
 
 
 def _base_rule(g: Graph, gc: Graph, p: GoodPartition):
-    n, T2, s = g.n, p.t.units, p.s
+    n, s = g.n, p.s
     v12 = sorted(p.v12)
-    v21 = sorted(p.v21)
-    v22 = sorted(p.v22)
-    d0 = n - 2 * T2 + s
-    claimed = Fraction(n - s, 2)
-    tail = v22[d0 - s :]
-    leftover = sorted(v21 + v22[: d0 - s])
-
-    if d0 == 0:
-        return _finish(gc, _pairs(v12, tail), "base", "r0", claimed)
-    if d0 == 1:
-        if s == 0:
-            u = v12[0]
-            w1, w2 = v22[0], v22[1]
-            weights = _pairs(v12[1:], v22[2:])
-            weights.update({(min(u, w1), max(u, w1)): 1,
-                            (min(u, w2), max(u, w2)): 1,
-                            (w1, w2): 1})
-            return _finish(gc, weights, "base", "r1_s0", claimed)
-        xv = min(p.x)
-        z = v21[0]
-        w1 = v22[0]
-        weights = _pairs([v for v in v12 if v != xv], v22[1:])
-        for a, b in ((xv, z), (xv, w1), (z, w1)):
-            weights[(min(a, b), max(a, b))] = 1
-        return _finish(gc, weights, "base", "r1_s1", claimed)
-    weights = _pairs(v12, tail)
-    if d0 == 2:
-        a, b = leftover
-        weights[(min(a, b), max(a, b))] = 2
-        return _finish(gc, weights, "base", "r2", claimed)
-    weights.update(_half_cycle(leftover))
-    return _finish(gc, weights, "base", "r3plus", claimed)
+    spare_end = None
+    if n - 2 * p.t.units + s == 1:
+        # One vertex is left over, so s <= 1. A support vertex with no
+        # neighbour on the unweighted side (x, or any v12 vertex when s = 0)
+        # closes a half triangle with the two vertices the fill leaves.
+        spare_end = min(p.x) if s else v12[0]
+        v12.remove(spare_end)
+    pairs, leftover = _fill(v12, sorted(p.v21), sorted(p.v22))
+    spare = None if spare_end is None else (spare_end, leftover.pop())
+    cover, suffix = _cover(leftover, spare)
+    case = f"r1_s{s}" if suffix == "r1" else suffix
+    return _finish(gc, {**pairs, **cover}, "base", case, Fraction(n - s, 2))
 
 
 def _plus_half_rule(g: Graph, gc: Graph, p: GoodPartition):
@@ -274,20 +294,12 @@ def _plus_half_rule(g: Graph, gc: Graph, p: GoodPartition):
         raise InternalInconsistencyError(
             f"vertex {u} has no complement neighbour despite an isolate-free complement"
         )
-    uv = {(min(u, v), max(u, v)): 2}
+    uv = {_e(u, v): 2}
 
     if location == "v12":
-        rest12 = [x for x in v12 if x != v]
-        k = len(rest12)
-        weights = dict(uv)
-        weights.update(_pairs(rest12, v22[len(v22) - k :]))
-        leftover = sorted(v21 + v22[: len(v22) - k])
-        if len(leftover) == 2:
-            a, b = leftover
-            weights[(min(a, b), max(a, b))] = 2
-            return _finish(gc, weights, "plus_half", "v_in_v12_r2", claimed)
-        weights.update(_half_cycle(leftover))
-        return _finish(gc, weights, "plus_half", "v_in_v12_r3plus", claimed)
+        pairs, leftover = _fill([x for x in v12 if x != v], v21, v22)
+        cover, suffix = _cover(leftover)
+        return _finish(gc, {**uv, **pairs, **cover}, "plus_half", f"v_in_v12_{suffix}", claimed)
 
     if p.s < 2:
         raise InternalInconsistencyError(
@@ -295,12 +307,12 @@ def _plus_half_rule(g: Graph, gc: Graph, p: GoodPartition):
         )
     v1, v2 = sorted(p.x)[:2]
     # v lies in at most one of v21 and v22; drop it before placing the rest
-    v21 = [x for x in v21 if x != v]
-    v22 = [x for x in v22 if x != v]
-    rest12 = [x for x in v12 if x != v1 and x != v2]
-    k = len(rest12)
-    weights = {**uv, (min(v1, v2), max(v1, v2)): 2, **_pairs(rest12, v22[len(v22) - k :])}
-    weights.update(_half_cycle(sorted(v21 + v22[: len(v22) - k])))
+    pairs, leftover = _fill(
+        [x for x in v12 if x != v1 and x != v2],
+        [x for x in v21 if x != v],
+        [x for x in v22 if x != v],
+    )
+    weights = {**uv, _e(v1, v2): 2, **pairs, **_half_cycle(leftover)}
     return _finish(gc, weights, "plus_half", f"v_in_{location}", claimed)
 
 
@@ -319,10 +331,8 @@ def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
     for u in v11:
         cands = gc.row(u) & v11_mask
         if cands:
-            v = next(bits(cands))
-            weights = {(min(u, v), max(u, v)): 2}
-            weights.update(_pairs(v12, v22[len(v22) - s :]))
-            weights.update(_half_cycle(sorted(v21 + v22[: len(v22) - s])))
+            pairs, leftover = _fill(v12, v21, v22)
+            weights = {_e(u, next(bits(cands))): 2, **pairs, **_half_cycle(leftover)}
             return _finish(gc, weights, "plus_one", "v11_internal", claimed)
 
     # a complement edge from the paired support side into the unweighted side
@@ -337,16 +347,15 @@ def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
             w = next(bits(g.row(v) & v11_mask))
         if w == u:
             raise InternalInconsistencyError("complement neighbour shares its pairing origin")
-        uv = {(min(u, v), max(u, v)): 2}
         c12 = gc.row(w) & v12_mask
         if c12:
             wp = next(bits(c12))
-            rest12 = [x for x in v12 if x != wp]
-            targets = [y for y in v22 if y != v]
-            targets = targets[len(targets) - len(rest12) :]
-            weights = {**uv, (min(w, wp), max(w, wp)): 2, **_pairs(rest12, targets)}
-            used = {v, wp} | set(targets)
-            weights.update(_half_cycle(sorted(x for x in v21 + v22 if x not in used)))
+            pairs, leftover = _fill(
+                [x for x in v12 if x != wp],
+                [y for y in v21 if y != v],
+                [y for y in v22 if y != v],
+            )
+            weights = {_e(u, v): 2, _e(w, wp): 2, **pairs, **_half_cycle(leftover)}
             return _finish(gc, weights, "plus_one", "v11_to_v2_then_v12", claimed)
         c2 = gc.row(w) & v2_mask
         if not c2:
@@ -355,17 +364,18 @@ def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
             )
         wp = next(bits(c2))
         x1, x2 = v12[0], v12[1]
-        rest12 = [x for x in v12 if x != x1 and x != x2]
-        targets = [y for y in v22 if y != v and y != wp]
-        targets = targets[len(targets) - len(rest12) :]
+        pairs, leftover = _fill(
+            [x for x in v12 if x != x1 and x != x2],
+            [y for y in v21 if y != v and y != wp],
+            [y for y in v22 if y != v and y != wp],
+        )
         weights = {
-            **uv,
-            (min(w, wp), max(w, wp)): 2,
-            (min(x1, x2), max(x1, x2)): 2,
-            **_pairs(rest12, targets),
+            _e(u, v): 2,
+            _e(w, wp): 2,
+            _e(x1, x2): 2,
+            **pairs,
+            **_half_cycle(leftover),
         }
-        used = {v, wp} | set(targets)
-        weights.update(_half_cycle(sorted(x for x in v21 + v22 if x not in used)))
         return _finish(gc, weights, "plus_one", "v11_to_v2_then_v2", claimed)
 
     # every complement neighbour of the paired side lies among the partners
@@ -391,40 +401,9 @@ def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
     vpp = next(bits(c))
     if vpp == v:
         raise InternalInconsistencyError("partner branch picked the original vertex twice")
-    rest12 = [x for x in v12 if x != v and x != vpp]
-    weights = {
-        (min(u, v), max(u, v)): 2,
-        (min(vp, vpp), max(vp, vpp)): 2,
-        **_pairs(rest12, v22[len(v22) - len(rest12) :]),
-    }
-    weights.update(_half_cycle(sorted(v21 + v22[: len(v22) - len(rest12)])))
+    pairs, leftover = _fill([x for x in v12 if x != v and x != vpp], v21, v22)
+    weights = {_e(u, v): 2, _e(vp, vpp): 2, **pairs, **_half_cycle(leftover)}
     return _finish(gc, weights, "plus_one", "v11_to_v12", claimed)
-
-
-_RULES = {"base": _base_rule, "plus_half": _plus_half_rule, "plus_one": _plus_one_rule}
-
-
-def _residual(v1: int, v2: int, reserved: Sequence[int]) -> Dict[Edge, int]:
-    base: Dict[Edge, int] = {}
-    r = len(reserved)
-    if r == 0:
-        base[(min(v1, v2), max(v1, v2))] = 2
-    elif r == 1:
-        w = reserved[0]
-        for a, b in ((v1, v2), (v1, w), (v2, w)):
-            base[(min(a, b), max(a, b))] = 1
-    elif r == 2:
-        base[(min(v1, v2), max(v1, v2))] = 2
-        a, b = reserved
-        base[(min(a, b), max(a, b))] = 2
-    else:
-        base[(min(v1, v2), max(v1, v2))] = 2
-        base.update(_half_cycle(list(reserved)))
-    return base
-
-
-def _residual_case(r: int) -> str:
-    return {0: "r0", 1: "r1", 2: "r2"}.get(r, "r3plus")
 
 
 def nearquarter_window(n: int) -> Tuple[int, int]:
@@ -443,9 +422,9 @@ def construct_complement_fm_nearquarter(
     The n >= 28 gate can be lifted with require_order=False to probe
     threshold tightness; the structural recipe is unchanged.
     """
-    n, T2, s = g.n, p.t.units, p.s
+    n = g.n
     allowed = nearquarter_window(n)
-    if T2 not in allowed:
+    if p.t.units not in allowed:
         raise PreconditionError(
             f"value {p.t} does not sit just above n/4 (allowed 2t in {list(allowed)})"
         )
@@ -453,7 +432,11 @@ def construct_complement_fm_nearquarter(
         raise PreconditionError(
             f"near-quarter construction is stated for n >= {MIN_STATED_ORDER}, got {n}"
         )
-    gc = g.complement()
+    return _RULES["near_quarter"](g, g.complement(), p)
+
+
+def _near_quarter_rule(g: Graph, gc: Graph, p: GoodPartition):
+    n, T2, s = g.n, p.t.units, p.s
     claimed = Fraction(2 * n - T2, 4)
     rule = "near_quarter"
     v21 = sorted(p.v21)
@@ -470,86 +453,54 @@ def construct_complement_fm_nearquarter(
 
     xs = sorted(p.x)
     v1, v2 = xs[0], xs[1]
-    x_set = p.x
-    v12nx = sorted(p.v12 - x_set)
-    r = n - 2 * T2 + s + 2
 
+    # Two 1-edges from v21[0] and v21[1] onto unpaired support vertices a
+    # and b, found on a half cycle or on two internal 1-edges; the branches
+    # without such a pair return on their own.
     cycles = [order for kind, order in p.fm.half_support_components() if kind == "cycle"]
     if cycles:
-        comp = cycles[0]
-        vp, vpp = sorted(comp)[:2]
-        xp, xpp = v21[0], v21[1]
-        weights = {
-            (min(vp, xp), max(vp, xp)): 2,
-            (min(vpp, xpp), max(vpp, xpp)): 2,
-        }
-        weights.update(_pairs([x for x in xs if x not in (v1, v2)], v21[2:]))
-        pool = [x for x in v12nx if x not in (vp, vpp)]
-        reserved = v22[:r]
-        weights.update(_pairs(pool, v22[r:]))
-        weights.update(_residual(v1, v2, reserved))
-        return _finish(gc, weights, rule, f"halfcycle_{_residual_case(r)}", claimed)
+        a, b = sorted(cycles[0])[:2]
+        case = "halfcycle"
+    else:
+        if T2 == 2 * s:
+            weights = {_e(v1, v2): 2, **_pairs(xs[2:], v21[: s - 2])}
+            weights.update(_half_cycle(sorted(v21[s - 2 :] + v22)))
+            return _finish(gc, weights, rule, "s_equals_t", claimed)
 
-    if T2 == 2 * s:
-        weights = {(min(v1, v2), max(v1, v2)): 2}
-        weights.update(_pairs([x for x in xs if x not in (v1, v2)], v21[: s - 2]))
-        weights.update(_half_cycle(sorted(v21[s - 2 :] + v22)))
-        return _finish(gc, weights, rule, "s_equals_t", claimed)
-
-    internal = [e for e in p.fm.one_edges() if e[0] in p.v12 and e[1] in p.v12]
-    if len(internal) * 2 != T2 - 2 * s:
-        raise InternalInconsistencyError(
-            "unpaired support side is not covered by internal 1-edges"
-        )
-    if len(internal) == 1:
-        w, w1 = internal[0]
-        x = v21[0]
-        if not gc.adj(x, w):
-            if not gc.adj(x, w1):
+        internal = [e for e in p.fm.one_edges() if e[0] in p.v12 and e[1] in p.v12]
+        if len(internal) * 2 != T2 - 2 * s:
+            raise InternalInconsistencyError(
+                "unpaired support side is not covered by internal 1-edges"
+            )
+        if len(internal) == 1:
+            x = v21[0]
+            w, w1 = _open_end(gc, x, internal[0])
+            if not v22:
                 raise InternalInconsistencyError(
-                    f"vertex {x} is adjacent to both ends of the internal 1-edge"
+                    "no fully unweighted vertex left for the internal 1-edge swap"
                 )
-            w, w1 = w1, w
-        if not v22:
-            raise InternalInconsistencyError(
-                "no fully unweighted vertex left for the internal 1-edge swap"
-            )
-        y1 = v22[0]
-        rest21 = [z for z in v21 if z != x]
-        weights = {
-            (min(v1, v2), max(v1, v2)): 2,
-            (min(x, w), max(x, w)): 2,
-            (min(y1, w1), max(y1, w1)): 2,
-        }
-        weights.update(_pairs([z for z in xs if z not in (v1, v2)], rest21[: s - 2]))
-        weights.update(_half_cycle(sorted(rest21[s - 2 :] + v22[1:])))
-        return _finish(gc, weights, rule, "p1", claimed)
+            rest21 = v21[1:]
+            weights = {_e(v1, v2): 2, _e(x, w): 2, _e(v22[0], w1): 2}
+            weights.update(_pairs(xs[2:], rest21[: s - 2]))
+            weights.update(_half_cycle(sorted(rest21[s - 2 :] + v22[1:])))
+            return _finish(gc, weights, rule, "p1", claimed)
+        a = _open_end(gc, v21[0], internal[0])[0]
+        b = _open_end(gc, v21[1], internal[1])[0]
+        case = "p2"
 
-    (w1, w2), (w3, w4) = internal[0], internal[1]
-    x1, x2 = v21[0], v21[1]
-    ok1 = gc.adj(x1, w1) or gc.adj(x1, w2)
-    ok2 = gc.adj(x2, w3) or gc.adj(x2, w4)
-    if not (ok1 and ok2):
-        f = extract_fm(gc)
-        if Fraction(f.value.units, 2) < claimed:
-            raise InternalInconsistencyError(
-                f"exact complement value {f.value} below claimed {claimed}"
-            )
-        return f, CaseDescriptor(rule, "exact_fallback", claimed, fallback=True)
-    if not gc.adj(x1, w1):
-        w1, w2 = w2, w1
-    if not gc.adj(x2, w3):
-        w3, w4 = w4, w3
-    weights = {
-        (min(x1, w1), max(x1, w1)): 2,
-        (min(x2, w3), max(x2, w3)): 2,
-    }
-    weights.update(_pairs([z for z in xs if z not in (v1, v2)], v21[2:]))
-    pool = [z for z in v12nx if z not in (w1, w3)]
-    reserved = v22[:r]
-    weights.update(_pairs(pool, v22[r:]))
-    weights.update(_residual(v1, v2, reserved))
-    return _finish(gc, weights, rule, f"p2_{_residual_case(r)}", claimed)
+    weights = {_e(a, v21[0]): 2, _e(b, v21[1]): 2, **_pairs(xs[2:], v21[2:])}
+    pool = [z for z in sorted(p.v12 - p.x) if z not in (a, b)]
+    pairs, leftover = _fill(pool, [], v22)
+    cover, suffix = _cover(leftover, (v1, v2))
+    return _finish(gc, {**weights, **pairs, **cover}, rule, f"{case}_{suffix}", claimed)
+
+
+_RULES = {
+    "base": _base_rule,
+    "plus_half": _plus_half_rule,
+    "plus_one": _plus_one_rule,
+    "near_quarter": _near_quarter_rule,
+}
 
 
 # ---------------------------------------------------------------------------

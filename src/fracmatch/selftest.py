@@ -42,7 +42,7 @@ from .harness import (
 )
 from .ngbounds import (
     MIN_STATED_ORDER,
-    _construct,
+    _RULES,
     applicable_rules,
     construct_complement_fm_nearquarter,
     nearquarter_window,
@@ -197,17 +197,13 @@ def run_construction_suite(
             continue
         gc = g.complement()
         cap = alpha2(gc)
-        rules = applicable_rules(g, gc, p)
-        probes = list(rules)
+        probes = list(applicable_rules(g, gc, p))
         if p.t.units in nearquarter_window(n):
             probes.append("near_quarter")
         for rule in probes:
             checked += 1
             try:
-                if rule == "near_quarter":
-                    f, case = construct_complement_fm_nearquarter(g, p, require_order=False)
-                else:
-                    f, case = _construct(g, gc, p, rules, rule)
+                f, case = _RULES[rule](g, gc, p)
             except (PreconditionError, InternalInconsistencyError) as exc:
                 if n >= strict_from:
                     failures.append(f"{key} {rule}: {exc}")

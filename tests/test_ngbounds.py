@@ -1,9 +1,12 @@
+import hashlib
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from fracmatch import (
     HalfInt,
+    InternalInconsistencyError,
     PreconditionError,
     construct_complement_fm,
     construct_complement_fm_nearquarter,
@@ -30,7 +33,7 @@ from fracmatch.ngbounds import (
     nearquarter_window,
     theorem_bound_value,
 )
-from fracmatch.selftest import branch_corpus
+from fracmatch.selftest import branch_corpus, corpus_with_relabelings
 
 
 def all_graphs(n):
@@ -260,6 +263,14 @@ def test_auto_rule_selection():
     assert desc.rule == "base"
 
 
+@pytest.mark.parametrize("rule", ["bogus", "near_quarter"])
+def test_construct_rejects_unknown_rule(rule):
+    # near_quarter has its own entry point, so the rule dispatcher refuses it
+    g = disjoint_union(star(4), star(4), star(4))
+    with pytest.raises(ValueError, match=f"unknown rule '{rule}'"):
+        construct_complement_fm(g, good_partition(g), rule)
+
+
 @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in branch_corpus()])
 def test_applicable_rules_match_the_dispatcher(g):
     p = good_partition(g)
@@ -399,6 +410,41 @@ def test_nearquarter_two_internal_edges():
     assert fm.value == HalfInt(22)
     assert fm.value.units <= alpha2(g.complement())
     assert not desc.fallback
+
+
+def test_nearquarter_p2_guard_raises():
+    # Give v21[0] G-edges to both ends of the first internal 1-edge: the
+    # partition no longer has property (a), and the p2 recipe must refuse.
+    g = dict(branch_corpus())["nq_p2_r0"]
+    p = good_partition(g)
+    assert construct_complement_fm_nearquarter(g, p)[1].case == "p2_r0"
+    w, w1 = next(e for e in p.fm.one_edges() if e[0] in p.v12 and e[1] in p.v12)
+    x = min(p.v21)
+    bad = Graph.from_edges(g.n, list(g.edges()) + [(x, w), (x, w1)])
+    with pytest.raises(InternalInconsistencyError, match="both ends"):
+        construct_complement_fm_nearquarter(bad, p)
+
+
+# Every construction result on the relabeled branch corpus, pinned: the
+# rule, case, claim and exact weights, or the error type.
+CONSTRUCTION_DIGEST = "be1e30b3667318e362ac7459a8693426f000cabbc2d57301069264447aae76af"
+
+
+def test_construction_results_pinned():
+    probes = [partial(construct_complement_fm, rule=rule)
+              for rule in (None, "base", "plus_half", "plus_one")]
+    probes.append(partial(construct_complement_fm_nearquarter, require_order=False))
+    digest = hashlib.sha256()
+    for g in corpus_with_relabelings(copies=1):
+        p = good_partition(g)
+        for probe in probes:
+            try:
+                f, case = probe(g, p)
+                line = f"{case.rule} {case.case} {case.claimed} {f.items()}"
+            except (PreconditionError, InternalInconsistencyError) as exc:
+                line = type(exc).__name__
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == CONSTRUCTION_DIGEST
 
 
 # ---------------------------------------------------------------------------
