@@ -38,8 +38,11 @@ def _read_graph_text(arg: str) -> str:
     if arg == "-":
         return sys.stdin.read()
     if os.path.exists(arg):
-        with open(arg, "r", encoding="ascii") as fh:
-            return fh.read()
+        try:
+            with open(arg, "r", encoding="ascii") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphFormatError(f"cannot read {arg}: {exc}")
     return arg
 
 
@@ -171,7 +174,10 @@ def cmd_construct(args) -> int:
 def _open_out(path: str):
     if path == "-":
         return sys.stdout, False
-    return open(path, "w", encoding="ascii"), True
+    try:
+        return open(path, "w", encoding="ascii"), True
+    except OSError as exc:
+        raise SystemExit2(f"cannot write {path}: {exc}")
 
 
 def cmd_sweep(args) -> int:

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-import numpy as np
-
 from .bipartite import hopcroft_karp
 from .errors import InternalInconsistencyError, PreconditionError
 from .graph import Graph, VertexSet, bits, mask_of
@@ -244,8 +242,9 @@ def canonicalize_fm(g: Graph, f: FractionalMatching) -> FractionalMatching:
     """
     if f.host != g:
         raise ValueError("matching belongs to a different graph")
-    if f.value.units != alpha2(g):
-        raise ValueError(f"matching value {f.value} is not optimal ({alpha_prime(g)})")
+    a2 = alpha2(g)
+    if f.value.units != a2:
+        raise ValueError(f"matching value {f.value} is not optimal ({HalfInt(a2)})")
     return _canonicalize(f)
 
 
@@ -305,79 +304,31 @@ def canonical_fm(g: Graph) -> FractionalMatching:
 
 _MAX_ORACLE_EDGES = 14
 
-_gather_cache: Dict[Tuple[int, int, int], Tuple[np.ndarray, ...]] = {}
-
-
-def _gather_tables(m: int, iu: int, iv: int):
-    key = (m, iu, iv)
-    hit = _gather_cache.get(key)
-    if hit is not None:
-        return hit
-    states = np.arange(3 ** m, dtype=np.int32)
-    du = (states // 3 ** iu) % 3
-    dv = (states // 3 ** iv) % 3
-    ok1 = (du >= 1) & (dv >= 1)
-    idx1 = np.where(ok1, states - 3 ** iu - 3 ** iv, 0)
-    ok2 = (du == 2) & (dv == 2)
-    idx2 = np.where(ok2, states - 2 * 3 ** iu - 2 * 3 ** iv, 0)
-    tables = (ok1, idx1, ok2, idx2)
-    _gather_cache[key] = tables
-    return tables
-
-
-def _oracle_dense(edges: List[Edge], touched: List[int]) -> int:
-    m = len(touched)
-    pos = {v: i for i, v in enumerate(touched)}
-    f = np.zeros(3 ** m, dtype=np.int8)
-    for u, v in edges:
-        ok1, idx1, ok2, idx2 = _gather_tables(m, pos[u], pos[v])
-        cand1 = np.where(ok1, f[idx1] + 1, -1)
-        cand2 = np.where(ok2, f[idx2] + 2, -1)
-        f = np.maximum(f, np.maximum(cand1, cand2)).astype(np.int8)
-    return int(f[-1])
-
-
-def _oracle_frontier(edges: List[Edge]) -> int:
-    """Dict-frontier DP for edge sets touching more than 8 vertices: the
-    state keeps remaining capacities only for vertices with future edges."""
-    m = len(edges)
-    future: List[Tuple[int, ...]] = [()] * (m + 1)
-    seen: set = set()
-    for i in range(m - 1, -1, -1):
-        seen |= set(edges[i])
-        future[i] = tuple(sorted(seen))
-    frontier = {tuple(2 for _ in future[0]): 0}
-    for i, (u, v) in enumerate(edges):
-        cur = future[i]
-        pos = {x: k for k, x in enumerate(cur)}
-        keep = [pos[x] for x in future[i + 1]]
-        nxt: Dict[Tuple[int, ...], int] = {}
-        for caps, val in frontier.items():
-            cu, cv = caps[pos[u]], caps[pos[v]]
-            for wgt in (0, 1, 2):
-                if cu < wgt or cv < wgt:
-                    break
-                lst = list(caps)
-                lst[pos[u]] = cu - wgt
-                lst[pos[v]] = cv - wgt
-                key = tuple(lst[k] for k in keep)
-                nv = val + wgt
-                if nxt.get(key, -1) < nv:
-                    nxt[key] = nv
-        frontier = nxt
-    return max(frontier.values())
-
 
 def oracle_alpha_exhaustive(g: Graph, max_edges: int = _MAX_ORACLE_EDGES) -> HalfInt:
-    """Maximum value over every feasible {0, 1/2, 1} assignment, computed by
-    exact dynamic programming over per-vertex remaining capacities. Refuses
-    edge sets above max_edges (the assignment space is 3^|E|)."""
+    """Maximum value over every feasible {0, 1/2, 1} assignment, by exact
+    dynamic programming over the edges in g.edges() order; it never calls
+    the solver. A state packs each vertex's remaining capacity (0, 1 or 2
+    half-units) into bits 2v and 2v+1 of one int, and maps to the best
+    value reaching it. A vertex's bits are cleared after its last edge, so
+    states that differ only on finished vertices merge. Refuses edge sets
+    above max_edges (the assignment space is 3^|E|)."""
     edges = list(g.edges())
     if len(edges) > max_edges:
         raise PreconditionError(f"{len(edges)} edges exceeds the oracle budget {max_edges}")
-    if not edges:
-        return HalfInt(0)
-    touched = sorted({v for e in edges for v in e})
-    if len(touched) <= 8:
-        return HalfInt(_oracle_dense(edges, touched))
-    return HalfInt(_oracle_frontier(edges))
+    last: Dict[int, int] = {}
+    for i, (u, v) in enumerate(edges):
+        last[u] = last[v] = i
+    states = {sum(2 << 2 * v for v in last): 0}
+    for i, (u, v) in enumerate(edges):
+        su, sv = 2 * u, 2 * v
+        step = 1 << su | 1 << sv
+        keep = ~sum(3 << 2 * x for x in (u, v) if last[x] == i)
+        nxt: Dict[int, int] = {}
+        for s, val in states.items():
+            for w in range(min(s >> su & 3, s >> sv & 3) + 1):
+                key = (s - w * step) & keep
+                if nxt.get(key, -1) < val + w:
+                    nxt[key] = val + w
+        states = nxt
+    return HalfInt(max(states.values()))

@@ -239,6 +239,14 @@ def test_sweep_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_sweep_unwritable_output_is_usage_error(capsys, tmp_path, flag):
+    target = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, "sweep", "--enumerate", "3", flag, str(target))
+    assert code == 2
+    assert err.startswith("error: cannot write")
+
+
 def test_argparse_usage_exit():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
@@ -249,6 +257,20 @@ def test_bad_graph_input(capsys):
     code, _, err = run(capsys, "alpha", "A")
     assert code == 2
     assert "error" in err
+
+
+def test_directory_graph_input(capsys, tmp_path):
+    code, _, err = run(capsys, "alpha", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: cannot read")
+
+
+def test_undecodable_graph_file(capsys, tmp_path):
+    path = tmp_path / "g.g6"
+    path.write_bytes(b"\xff\n")
+    code, _, err = run(capsys, "alpha", str(path))
+    assert code == 2
+    assert err.startswith("error: cannot read")
 
 
 # ------------------------------------------------------------------ selftest

@@ -95,8 +95,24 @@ def test_oracle_matches_naive_recursion():
         assert oracle_alpha_exhaustive(g).units == naive_alpha2(g)
 
 
+def test_oracle_wide_graphs_match_naive_recursion():
+    """Seeded graphs touching 9 to 12 vertices with at most 10 edges, and an
+    n = 64 graph whose vertex 63 sits above bit 64 of the packed state."""
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(9, 12)
+        perm = rng.sample(range(n), n)
+        cover = [(perm[i], perm[(i + 1) % n]) for i in range(0, n, 2)]
+        extra = [rng.sample(range(n), 2) for _ in range(rng.randint(0, 10 - len(cover)))]
+        g = Graph.from_edges(n, cover + extra)
+        assert g.edge_count() <= 10 and all(g.row(v) for v in range(n))
+        assert oracle_alpha_exhaustive(g).units == naive_alpha2(g)
+    g = Graph.from_edges(64, [(0, 63), (5, 63), (1, 2), (2, 3), (1, 3), (40, 62)])
+    assert oracle_alpha_exhaustive(g).units == naive_alpha2(g) == 7
+
+
 def test_oracle_frontier_path():
-    # more than 8 touched vertices forces the frontier DP
+    # long chains keep many vertices live in the packed state at once
     for g in [path(12), cycle(11), disjoint_union(path(6), cycle(5))]:
         assert len(list(g.edges())) <= 14
         assert oracle_alpha_exhaustive(g).units == alpha2(g)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from fracmatch import selftest
+from fracmatch.errors import InternalInconsistencyError
 from fracmatch.fm import alpha2
 from fracmatch.harness import SampleSpec, enumerate_graphs, sample_graphs
 from fracmatch.ngbounds import (
@@ -47,6 +49,19 @@ def test_individual_suites_green():
     assert run_partition_suite(small).ok
     assert run_classifier_suite(max_n=4).ok
     assert run_determinism_suite().ok
+
+
+def test_structure_suite_reports_failed_certificate(monkeypatch):
+    def broken(g):
+        raise InternalInconsistencyError("injected")
+
+    monkeypatch.setattr(selftest, "canonical_fm", broken)
+    result = run_structure_suite(list(enumerate_graphs(2)))
+    assert result.checked == 2
+    assert result.failures == (
+        "A?: canonical matching failed: injected",
+        "A_: canonical matching failed: injected",
+    )
 
 
 def test_shuffled_preserves_matching_number():
