@@ -171,11 +171,11 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _open_out(path: str):
+def _open_out(path: str, mode: str = "w"):
     if path == "-":
         return sys.stdout, False
     try:
-        return open(path, "w", encoding="ascii"), True
+        return open(path, mode, encoding="ascii"), True
     except OSError as exc:
         raise SystemExit2(f"cannot write {path}: {exc}")
 
@@ -183,6 +183,13 @@ def _open_out(path: str):
 def cmd_sweep(args) -> int:
     if (args.enumerate is None) == (args.sample is None):
         raise SystemExit2("exactly one of --enumerate and --sample is required")
+    # Fail on an unwritable output before the sweep runs. Append mode leaves
+    # an existing file as it is until the sweep has succeeded.
+    for path in (args.csv, args.json):
+        if path is not None:
+            out, close = _open_out(path, "a")
+            if close:
+                out.close()
     if args.sample is not None:
         try:
             spec = SampleSpec.parse(args.sample)

@@ -2,7 +2,9 @@
 matching number and for the equality families of the sum bounds, plus the
 exact sum facts for matching number 1, 3/2, 2, and 5/2.
 
-All recognition is degree/structure based; no isomorphism search and no
+Recognition is by degree counts. A pair {u, w} meets all m edges exactly
+when deg u + deg w - [uw in E] = m, and a triangle uvw misses some edge
+exactly when m > deg u + deg v + deg w - 3. No isomorphism search and no
 matching computation happens inside the recognizers themselves.
 """
 
@@ -46,36 +48,9 @@ class FamilyLabel:
 # ----------------------------------------------------------- small helpers
 
 
-def _cover_pair(g: Graph) -> Optional[Tuple[int, int]]:
-    """Two vertices meeting every edge, or None. Any cover pair must contain
-    an endpoint of the first edge, so only two candidates are scanned."""
-    edges = list(g.edges())
-    if not edges:
-        return None
-    for u in edges[0]:
-        ubit = 1 << u
-        rest = [(a, b) for a, b in edges if not ubit & ((1 << a) | (1 << b))]
-        if not rest:
-            return (u, (u + 1) % g.n)
-        common = ((1 << rest[0][0]) | (1 << rest[0][1]))
-        for a, b in rest[1:]:
-            common &= (1 << a) | (1 << b)
-            if not common:
-                break
-        if common:
-            return (u, next(bits(common)))
-    return None
-
-
-def _triangle_plus_disjoint_edge(g: Graph) -> bool:
-    edges = list(g.edges())
-    for u, v in edges:
-        for w in bits(g.row(u) & g.row(v)):
-            excl = (1 << u) | (1 << v) | (1 << w)
-            for a, b in edges:
-                if not excl & ((1 << a) | (1 << b)):
-                    return True
-    return False
+def _pair_covers(rows, deg, m: int, u: int, w: int) -> bool:
+    """{u, w} meets all m edges: deg u + deg w - [uw in E] = m."""
+    return deg[u] + deg[w] - (rows[u] >> w & 1) == m
 
 
 def _spanning_c5(g: Graph, verts) -> bool:
@@ -88,18 +63,14 @@ def _spanning_c5(g: Graph, verts) -> bool:
 
 
 def universal_vertex_count(g: Graph) -> int:
-    return sum(1 for v in range(g.n) if g.degree(v) == g.n - 1)
+    return [r.bit_count() for r in g.rows].count(g.n - 1)
 
 
 def is_k2_00_ell(g: Graph) -> Optional[int]:
     """Two adjacent universal vertices, everything else of degree exactly 2
     (adjacent to both of them). Returns ell = n - 2, or None."""
-    if g.n < 4:
-        return None
-    hubs = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-    if len(hubs) != 2:
-        return None
-    if any(g.degree(v) != 2 for v in range(g.n) if v not in hubs):
+    deg = [r.bit_count() for r in g.rows]
+    if g.n < 4 or deg.count(g.n - 1) != 2 or deg.count(2) != g.n - 2:
         return None
     return g.n - 2
 
@@ -107,70 +78,50 @@ def is_k2_00_ell(g: Graph) -> Optional[int]:
 def is_k2pql_family(g: Graph) -> Optional[Tuple[int, int, int]]:
     """Adjacent hub pair covering every edge, every other vertex adjacent to
     a nonempty subset of the hubs and nothing else. Returns (p, q, ell) with
-    p >= q, or None. Isolated non-hub vertices disqualify."""
-    n = g.n
-    if n < 3:
+    p >= q, or None. Isolated vertices disqualify; the hubs are the first
+    covering edge in g.edges() order."""
+    rows = g.rows
+    deg = [r.bit_count() for r in rows]
+    if g.n < 3 or 0 in deg:
         return None
-    for u in range(n):
-        for v in bits(g.row(u) >> (u + 1) << (u + 1)):
-            p = q = ell = 0
-            ok = True
-            hub_mask = (1 << u) | (1 << v)
-            for w in range(n):
-                if w == u or w == v:
-                    continue
-                nb = g.row(w)
-                if nb & ~hub_mask or nb == 0:
-                    ok = False
-                    break
-                if nb == hub_mask:
-                    ell += 1
-                elif nb == 1 << u:
-                    p += 1
-                else:
-                    q += 1
-            if ok:
-                return (max(p, q), min(p, q), ell)
+    m = sum(deg) // 2
+    for u, v in g.edges():
+        if _pair_covers(rows, deg, m, u, v):
+            ell = (rows[u] & rows[v]).bit_count()
+            p, q = deg[u] - 1 - ell, deg[v] - 1 - ell
+            return (max(p, q), min(p, q), ell)
     return None
 
 
 def is_bistar_sandwich(g: Graph) -> Optional[int]:
-    """Non-adjacent pair {a, b} covering every edge, every other vertex
-    adjacent to at least one of them, and two independent edges exist.
-    Returns the reported star size m = min(deg a, deg b, n - 3), or None."""
+    """Non-adjacent pair {a, b} covering every edge, with no isolated
+    vertex. Returns the reported star size m = min(deg a, deg b, n - 3), or
+    None."""
     n = g.n
-    if n < 4:
+    rows = g.rows
+    deg = [r.bit_count() for r in rows]
+    if n < 4 or 0 in deg:
         return None
-    edges = list(g.edges())
-    if not edges:
-        return None
-    # a cover pair must contain an endpoint of the first edge
-    for a in edges[0]:
-        abit = 1 << a
+    m = sum(deg) // 2
+    # No test for two independent edges: if N(a) | N(b) were one vertex x,
+    # the n - 3 >= 1 vertices outside {a, b, x} would be isolated. A cover
+    # pair must contain an endpoint of the first edge.
+    for a in next(g.edges()):
         for b in range(n):
-            if b == a or g.adj(a, b):
-                continue
-            cover = abit | (1 << b)
-            if any(not cover & ((1 << c) | (1 << d)) for c, d in edges):
-                continue
-            if not all(g.row(w) & cover for w in range(n) if not cover & (1 << w)):
-                continue
-            na, nb = g.row(a), g.row(b)
-            if na and nb and (na | nb).bit_count() >= 2:
-                return min(na.bit_count(), nb.bit_count(), n - 3)
+            if b != a and not rows[a] >> b & 1 and _pair_covers(rows, deg, m, a, b):
+                return min(deg[a], deg[b], n - 3)
     return None
 
 
 def is_full_star(g: Graph) -> Optional[int]:
-    """K_{1,n-1} with no isolates: one center adjacent to all, others of
-    degree 1. Returns k = n - 1, or None."""
-    if g.n < 2:
+    """K_{1,n-1} with no isolates: n - 1 edges, all at one center. Returns
+    k = n - 1, or None."""
+    n = g.n
+    if n < 2:
         return None
-    for c in range(g.n):
-        if g.degree(c) == g.n - 1 and all(
-            g.degree(v) == 1 for v in range(g.n) if v != c
-        ):
-            return g.n - 1
+    deg = [r.bit_count() for r in g.rows]
+    if sum(deg) == 2 * (n - 1) and n - 1 in deg:
+        return n - 1
     return None
 
 
@@ -180,18 +131,19 @@ def is_full_star(g: Graph) -> Optional[int]:
 def classify_small_alpha(g: Graph) -> Optional[FamilyLabel]:
     """Structural family label whenever the matching number is 1, 3/2, 2,
     or 5/2; None otherwise. Purely structural: never computes a matching."""
-    m = g.edge_count()
+    n = g.n
+    rows = g.rows
+    deg = [r.bit_count() for r in rows]
+    m = sum(deg) // 2
     if m == 0:
         return None
-    noniso = g.nonisolated_mask()
-    k_non = noniso.bit_count()
 
     # value 1: every edge at a single vertex
-    for c in bits(noniso):
-        if g.degree(c) == m:
-            return FamilyLabel(FamilyTag.StarUnion, k=m)
+    if max(deg) == m:
+        return FamilyLabel(FamilyTag.StarUnion, k=m)
 
     # value 3/2: a triangle and nothing else
+    k_non = n - deg.count(0)
     if k_non == 3 and m == 3:
         return FamilyLabel(FamilyTag.TriangleUnion)
 
@@ -199,23 +151,30 @@ def classify_small_alpha(g: Graph) -> Optional[FamilyLabel]:
     # returned above, so two independent edges exist from here on.
     if k_non == 4:
         return FamilyLabel(FamilyTag.Sandwich_2K2_K4)
-    if _cover_pair(g) is not None:
+    # a cover pair must contain an endpoint of the first edge
+    if any(
+        _pair_covers(rows, deg, m, u, w)
+        for u in next(g.edges())
+        for w in range(n)
+        if w != u
+    ):
         return FamilyLabel(FamilyTag.Sandwich_2K2_K2pq)
 
     # value 5/2
-    if k_non == 5 and _spanning_c5(g, sorted(bits(noniso))):
+    if k_non == 5 and _spanning_c5(g, [v for v in range(n) if deg[v]]):
         return FamilyLabel(FamilyTag.C5Union_in_K5)
-    tri_k2 = _triangle_plus_disjoint_edge(g)
+    # a triangle uvw touches deg u + deg v + deg w - 3 edges
+    tri_k2 = any(
+        deg[u] + deg[v] + deg[w] - 3 < m
+        for u, v in g.edges()
+        for w in bits(rows[u] & rows[v] >> (v + 1) << (v + 1))
+    )
     if k_non == 5 and tri_k2:
         return FamilyLabel(FamilyTag.C3K2Union_in_K5)
     if tri_k2:
-        for a in range(g.n):
-            abit = 1 << a
-            b_set = 0
-            for v in bits(noniso & ~abit):
-                if g.row(v) & ~abit:
-                    b_set |= 1 << v
-            if b_set.bit_count() <= 3:
+        # some vertex a whose removal leaves edges on at most 3 vertices
+        for a, ra in enumerate(rows):
+            if sum(1 for v in range(n) if v != a and deg[v] > (ra >> v & 1)) <= 3:
                 return FamilyLabel(FamilyTag.C3K2Union_in_H)
     return None
 

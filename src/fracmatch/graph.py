@@ -114,13 +114,6 @@ class Graph:
     def isolated_vertices(self) -> VertexSet:
         return frozenset(v for v in range(self.n) if not self._rows[v])
 
-    def nonisolated_mask(self) -> int:
-        m = 0
-        for v, r in enumerate(self._rows):
-            if r:
-                m |= 1 << v
-        return m
-
     def plus_edge(self, u: int, v: int) -> "Graph":
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"bad edge ({u},{v}) for n={self.n}")

@@ -101,10 +101,6 @@ class SampleSpec:
             raise PreconditionError("seed must fit in 64 bits")
 
     @property
-    def probability(self) -> Fraction:
-        return Fraction(self.p_num, self.p_den)
-
-    @property
     def threshold(self) -> int:
         return (self.p_num << 64) // self.p_den
 
@@ -120,9 +116,6 @@ class SampleSpec:
             n=int(n), p_num=frac.numerator, p_den=frac.denominator,
             count=int(count), seed=int(seed, 0),
         )
-
-    def describe(self) -> str:
-        return f"{self.n},{self.p_num}/{self.p_den},{self.count},{self.seed}"
 
 
 def graph_seed(spec: SampleSpec, index: int) -> int:

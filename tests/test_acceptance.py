@@ -19,7 +19,6 @@ from fracmatch.bulk import bulk_alpha2
 from fracmatch.families import classify_equality_family, classify_small_alpha
 from fracmatch.fm import (
     alpha2,
-    alpha_prime,
     berge_deficiency,
     deficiency_of,
     oracle_alpha_exhaustive,
@@ -109,7 +108,7 @@ def test_c1_oracle_equivalence(bulk7):
                 mism += 1
             if g.edge_count() <= 14:
                 oracle_checked += 1
-                if oracle_alpha_exhaustive(g) != alpha_prime(g):
+                if oracle_alpha_exhaustive(g) != HalfInt(a2):
                     mism += 1
     for g in sample_graphs(N7_SAMPLE):
         checked += 1
@@ -121,7 +120,7 @@ def test_c1_oracle_equivalence(bulk7):
             mism += 1
         if g.edge_count() <= 14:
             oracle_checked += 1
-            if oracle_alpha_exhaustive(g) != alpha_prime(g):
+            if oracle_alpha_exhaustive(g) != HalfInt(a2):
                 mism += 1
     verdict(
         1,

@@ -240,11 +240,15 @@ def test_sweep_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--csv", "--json"])
-def test_sweep_unwritable_output_is_usage_error(capsys, tmp_path, flag):
+def test_sweep_unwritable_output_is_usage_error(capsys, tmp_path, monkeypatch, flag):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before its output path was checked")
+
+    monkeypatch.setattr("fracmatch.cli.run_sweep", no_sweep)
     target = tmp_path / "missing" / "out"
     code, _, err = run(capsys, "sweep", "--enumerate", "3", flag, str(target))
     assert code == 2
-    assert err.startswith("error: cannot write")
+    assert err.startswith(f"error: cannot write {target}")
 
 
 def test_argparse_usage_exit():

@@ -1,5 +1,7 @@
 """Family recognizers and the small-value sum clauses."""
 
+import random
+
 import pytest
 
 from fracmatch.errors import PreconditionError
@@ -28,7 +30,7 @@ from fracmatch.generators import (
     path,
     star,
 )
-from fracmatch.graph import Graph
+from fracmatch.graph import Graph, bits, mask_of
 from fracmatch.halfint import HalfInt
 
 TAG_TO_UNITS = {
@@ -165,6 +167,149 @@ def test_equality_family_isolate_free():
     assert classify_equality_family(cycle(30), "isolate_free") is None
     with pytest.raises(ValueError):
         classify_equality_family(cycle(5), "unknown")
+
+
+# ------------------------------------------- large orders against edge scans
+#
+# C4 checks the classifier only up to n = 7, but these recognisers decide C8
+# and the sweep's family column at n >= 28. The references below are the
+# edge-list cover scans that the degree-count recognisers replaced.
+
+
+def _ref_full_star(g):
+    if g.n < 2:
+        return None
+    for c in range(g.n):
+        if g.degree(c) == g.n - 1 and all(g.degree(v) == 1 for v in range(g.n) if v != c):
+            return g.n - 1
+    return None
+
+
+def _ref_k2pql(g):
+    n = g.n
+    if n < 3:
+        return None
+    for u, v in g.edges():
+        p = q = ell = 0
+        hub_mask = (1 << u) | (1 << v)
+        for w in range(n):
+            if w in (u, v):
+                continue
+            nb = g.row(w)
+            if nb & ~hub_mask or nb == 0:
+                break
+            if nb == hub_mask:
+                ell += 1
+            elif nb == 1 << u:
+                p += 1
+            else:
+                q += 1
+        else:
+            return (max(p, q), min(p, q), ell)
+    return None
+
+
+def _ref_bistar(g):
+    n = g.n
+    edges = list(g.edges())
+    if n < 4 or not edges:
+        return None
+    for a in edges[0]:
+        for b in range(n):
+            if b == a or g.adj(a, b):
+                continue
+            cover = (1 << a) | (1 << b)
+            if any(not cover & ((1 << c) | (1 << d)) for c, d in edges):
+                continue
+            if not all(g.row(w) & cover for w in range(n) if not cover & (1 << w)):
+                continue
+            na, nb = g.row(a), g.row(b)
+            if na and nb and (na | nb).bit_count() >= 2:
+                return min(na.bit_count(), nb.bit_count(), n - 3)
+    return None
+
+
+def _ref_equality_family(g, which):
+    for h in (g, g.complement()):
+        if which == "nonempty":
+            k = _ref_full_star(h)
+            if k is not None:
+                return FamilyLabel(FamilyTag.StarUnion, k=k)
+            continue
+        pql = _ref_k2pql(h)
+        if pql is not None and pql[1] >= 1:
+            return FamilyLabel(FamilyTag.K2pql, p=pql[0], q=pql[1], ell=pql[2])
+        bm = _ref_bistar(h)
+        if bm is not None:
+            return FamilyLabel(FamilyTag.BistarInK2n2, m=bm)
+    return None
+
+
+def _relabel(g, perm):
+    rows = [0] * g.n
+    for v in range(g.n):
+        rows[perm[v]] = mask_of(perm[w] for w in bits(g.row(v)))
+    return Graph(g.n, rows)
+
+
+def _flip(g, u, v):
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph(g.n, rows)
+
+
+def large_order_population(seed=20261018):
+    """Family members at n = 28..40 (stars, K2(p,q,ell), complete bipartite
+    graphs, two-star unions), a seeded relabeling of each, two seeded
+    one-edge flips of both, and the complements of all of these."""
+    rng = random.Random(seed)
+    for n in range(28, 41):
+        splits = [rng.randrange(n - 1) for _ in range(2)]
+        members = [star(n), k2pql(n - 2, 0, 0), k2pql(n - 3, 1, 0), k2pql(0, 0, n - 2)]
+        for r in splits:
+            s = rng.randrange(n - 1 - r)
+            members.append(k2pql(r, s, n - 2 - r - s))
+        members += [complete_bipartite(a, n - a) for a in (1, 2, n // 2)]
+        members += [disjoint_union(star(a), star(n - a)) for a in (2, 3, n // 2)]
+        for h in members:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for base in (h, _relabel(h, perm)):
+                yield base
+                yield base.complement()
+                for _ in range(2):
+                    u, v = rng.sample(range(n), 2)
+                    flipped = _flip(base, u, v)
+                    yield flipped
+                    yield flipped.complement()
+
+
+def test_recognisers_match_edge_scans_at_large_orders():
+    seen = {"star": 0, "k2pql": 0, "bistar": 0, "nonempty": 0, "isolate_free": 0}
+    checked = 0
+    for g in large_order_population():
+        checked += 1
+        got = {
+            "star": is_full_star(g),
+            "k2pql": is_k2pql_family(g),
+            "bistar": is_bistar_sandwich(g),
+            "nonempty": classify_equality_family(g, "nonempty"),
+            "isolate_free": classify_equality_family(g, "isolate_free"),
+        }
+        want = {
+            "star": _ref_full_star(g),
+            "k2pql": _ref_k2pql(g),
+            "bistar": _ref_bistar(g),
+            "nonempty": _ref_equality_family(g, "nonempty"),
+            "isolate_free": _ref_equality_family(g, "isolate_free"),
+        }
+        assert got == want, g
+        for key, value in got.items():
+            seen[key] += value is not None
+    assert checked == 13 * 12 * 2 * 6
+    # every recogniser both accepts and rejects somewhere in the population
+    assert all(0 < count < checked for count in seen.values()), seen
 
 
 # -------------------------------------------------------- small-value sums

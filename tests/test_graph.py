@@ -72,7 +72,6 @@ def test_complement_involution():
 def test_isolated_vertices():
     g = add_isolates(complete(2), 3)
     assert g.isolated_vertices() == frozenset({2, 3, 4})
-    assert g.nonisolated_mask() == 0b00011
 
 
 def test_plus_edge_and_subgraph():
