@@ -8,14 +8,18 @@ from .graph import Graph, MAX_VERTICES
 _PREFIX = ">>graph6<<"
 
 
+def _header(n: int) -> str:
+    """Short header for n <= 62, the 4-character long form for 63..64."""
+    if n <= 62:
+        return chr(n + 63)
+    return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+
+
 def emit_graph6(g: Graph) -> str:
     """Canonical graph6 string: short header for n <= 62, the 4-character
     long form for 63..64; upper-triangle bits column-major, 6 per char."""
     n = g.n
-    if n <= 62:
-        head = chr(n + 63)
-    else:
-        head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    head = _header(n)
     chunks = []
     val = 0
     nbits = 0

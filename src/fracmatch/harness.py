@@ -6,6 +6,12 @@ present iff finalize(graph_seed + (j+1)*GOLDEN) < floor(p * 2^64). Every
 draw is therefore random-access (no sequential state), which is what lets
 sweeps fan out over index ranges and still produce identical output for
 any worker count.
+
+Sampled and enumerated streams are built in batches of _BATCH graphs from
+one (batch x slots) matrix of edge bits: numpy scatters it into adjacency
+rows and, for sweeps, into graph6 keys, so no stream calls Graph.from_mask
+or emit_graph6 per graph, and the memory a batch takes is bounded by its
+fixed size whatever the population.
 """
 
 from __future__ import annotations
@@ -15,19 +21,24 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import PreconditionError
 from .graph import Graph, edge_slots
-from .ngbounds import SweepStats, empty_stats, sweep_with_rows
+from .graph6 import _header
+from .ngbounds import SweepStats, _sweep_pairs, empty_stats
 
 GOLDEN = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
 
 ENUM_DEFAULT_MAX_N = 7
 ENUM_HARD_MAX_N = 8
+
+# Graphs per batch. At n = 64 a batch's uint64 draw matrix is about 4 MB.
+_BATCH = 256
 
 
 def splitmix64(z: int) -> int:
@@ -51,6 +62,49 @@ def _splitmix64_np(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Batches of edge bits: row k, column j is 1 iff graph k has edge slot j.
+
+def _bit_batches(
+    source: Callable[[int, int], np.ndarray], lo: int, hi: int, batch: int = _BATCH
+) -> Iterator[np.ndarray]:
+    for start in range(lo, hi, batch):
+        yield source(start, min(start + batch, hi))
+
+
+def _batch_graphs(n: int, bits: np.ndarray) -> List[Graph]:
+    """The graphs Graph.from_mask builds from each row of bits."""
+    b = len(bits)
+    u, v = np.triu_indices(n, 1)
+    adj = np.zeros((b, n, n), dtype=np.uint8)
+    adj[:, u, v] = bits
+    adj[:, v, u] = bits
+    packed = np.zeros((b, n, 8), dtype=np.uint8)
+    packed[:, :, : (n + 7) // 8] = np.packbits(adj, axis=2, bitorder="little")
+    return [Graph(n, rows) for rows in packed.view("<u8").reshape(b, n).tolist()]
+
+
+def _batch_keys(n: int, bits: np.ndarray) -> List[str]:
+    """emit_graph6 of each row of bits. The graph6 bit of slot (u, v) is
+    bit 5 - p % 6 of character p // 6, where p = v(v-1)/2 + u; it goes to
+    column 8 (p // 6) + 2 + p % 6, so packing each 8 columns big-endian
+    gives the character's value with its top two bits clear."""
+    b = len(bits)
+    u, v = np.triu_indices(n, 1)
+    p = v * (v - 1) // 2 + u
+    width = (len(p) + 5) // 6
+    data = np.zeros((b, 8 * width), dtype=np.uint8)
+    data[:, 8 * (p // 6) + 2 + p % 6] = bits
+    text = (np.packbits(data, axis=1) + 63).tobytes().decode("ascii")
+    head = _header(n)
+    return [head + text[i * width : (i + 1) * width] for i in range(b)]
+
+
+def _batch_pairs(n: int, bits: np.ndarray) -> Iterator[Tuple[Graph, str]]:
+    """(graph, graph6 key) for each row of bits."""
+    return zip(_batch_graphs(n, bits), _batch_keys(n, bits))
+
+
+# ---------------------------------------------------------------------------
 # Enumeration.
 
 
@@ -70,10 +124,18 @@ def _check_enumeration(n: int, allow_large: bool) -> None:
         raise PreconditionError("negative vertex count")
 
 
+def _enumeration_bits(n: int, lo: int, hi: int) -> np.ndarray:
+    """Edge bits of masks lo..hi-1: mask k has slot j iff bit j of k is set."""
+    slots = np.arange(n * (n - 1) // 2, dtype=np.uint64)
+    masks = np.arange(lo, hi, dtype=np.uint64)
+    return (masks[:, None] >> slots & np.uint64(1)).astype(np.uint8)
+
+
 def enumerate_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
     """All labeled graphs on n vertices in ascending edge-mask order."""
     _check_enumeration(n, allow_large)
-    return (Graph.from_mask(n, mask) for mask in range(enumeration_count(n)))
+    batches = _bit_batches(partial(_enumeration_bits, n), 0, enumeration_count(n))
+    return (g for bits in batches for g in _batch_graphs(n, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -135,36 +197,32 @@ def sample_graph(spec: SampleSpec, index: int) -> Graph:
     return Graph.from_mask(spec.n, mask)
 
 
-def sample_masks(spec: SampleSpec, lo: int, hi: int) -> List[int]:
-    """Vectorized edge masks for draws lo..hi-1."""
+def _sample_bits(spec: SampleSpec, lo: int, hi: int) -> np.ndarray:
+    """Vectorized edge bits for draws lo..hi-1."""
     if not 0 <= lo <= hi <= spec.count:
         raise PreconditionError(f"range {lo}..{hi} outside 0..{spec.count}")
-    if lo == hi:
-        return []
-    slots = len(edge_slots(spec.n))
     idx = np.arange(lo, hi, dtype=np.uint64)
     gs = _splitmix64_np(np.uint64(spec.seed) + (idx + np.uint64(1)) * np.uint64(GOLDEN))
-    if slots == 0:
-        return [0] * (hi - lo)
-    j = (np.arange(slots, dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
+    j = (np.arange(len(edge_slots(spec.n)), dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
     r = _splitmix64_np(gs[:, None] + j[None, :])
     thresh = spec.threshold
     if thresh >= 1 << 64:
-        present = np.ones(r.shape, dtype=np.uint8)
-    else:
-        present = (r < np.uint64(thresh)).astype(np.uint8)
-    packed = np.packbits(present, axis=1, bitorder="little")
+        return np.ones(r.shape, dtype=np.uint8)
+    return (r < np.uint64(thresh)).astype(np.uint8)
+
+
+def sample_masks(spec: SampleSpec, lo: int, hi: int) -> List[int]:
+    """Vectorized edge masks for draws lo..hi-1."""
+    packed = np.packbits(_sample_bits(spec, lo, hi), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def sample_graphs(spec: SampleSpec, lo: int = 0, hi: Optional[int] = None,
-                  batch: int = 4096) -> Iterator[Graph]:
+                  batch: int = _BATCH) -> Iterator[Graph]:
     if hi is None:
         hi = spec.count
-    for start in range(lo, hi, batch):
-        stop = min(start + batch, hi)
-        for mask in sample_masks(spec, start, stop):
-            yield Graph.from_mask(spec.n, mask)
+    for bits in _bit_batches(partial(_sample_bits, spec), lo, hi, batch):
+        yield from _batch_graphs(spec.n, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +266,9 @@ def plan_sweep(total: int, requested: int, cpus: int) -> Tuple[int, List[Tuple[i
 
 
 def _sweep_task(args) -> Tuple[SweepStats, List[str]]:
-    kind, payload, which, lo, hi = args
-    if kind == "enumerate":
-        graphs = (Graph.from_mask(payload, mask) for mask in range(lo, hi))
-    else:
-        graphs = sample_graphs(payload, lo, hi)
-    return sweep_with_rows(graphs, which)
+    n, source, which, lo, hi = args
+    pairs = (pair for bits in _bit_batches(source, lo, hi) for pair in _batch_pairs(n, bits))
+    return _sweep_pairs(pairs, which)
 
 
 def run_sweep(
@@ -232,12 +287,12 @@ def run_sweep(
     if enumerate_n is not None:
         _check_enumeration(enumerate_n, allow_large)
         total = enumeration_count(enumerate_n)
-        kind, payload = "enumerate", enumerate_n
+        n, source = enumerate_n, partial(_enumeration_bits, enumerate_n)
     else:
         total = spec.count
-        kind, payload = "sample", spec
+        n, source = spec.n, partial(_sample_bits, spec)
     workers, ranges = plan_sweep(total, requested, usable_cpus())
-    tasks = [(kind, payload, which, lo, hi) for lo, hi in ranges]
+    tasks = [(n, source, which, lo, hi) for lo, hi in ranges]
     stats = empty_stats(which)
     rows: List[str] = []
     if workers == 1:

@@ -559,16 +559,23 @@ def sweep_with_rows(
 ) -> Tuple[SweepStats, List[str]]:
     """Evaluate one bound over a graph stream; returns aggregate counts and
     one CSV row per graph (unsorted; callers sort after merging chunks)."""
+    return _sweep_pairs(((g, emit_graph6(g)) for g in graphs), which)
+
+
+def _sweep_pairs(
+    pairs: Iterable[Tuple[Graph, str]], which: str
+) -> Tuple[SweepStats, List[str]]:
+    """sweep_with_rows over (graph, graph6 key) pairs whose keys are built
+    already."""
     if which not in BOUND_NAMES:
         raise ValueError(f"unknown bound name {which!r}")
     total = applies = satisfied = equality = char_match = 0
     violations: List[str] = []
     unmatched: List[str] = []
     rows: List[str] = []
-    for g in graphs:
+    for g, g6 in pairs:
         rep = ng_sum(g)
         tb = rep.bounds[which]
-        g6 = emit_graph6(g)
         total += 1
         family = ""
         if tb.equality:

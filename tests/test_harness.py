@@ -1,6 +1,8 @@
 """Enumeration, seeded sampling, bulk evaluation, and sweep determinism."""
 
 import itertools
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -11,10 +13,17 @@ from fracmatch.fm import alpha2
 from fracmatch.generators import complete, empty_graph
 from fracmatch.graph import Graph
 from fracmatch.graph6 import emit_graph6
+from fracmatch.ngbounds import _sweep_pairs, sweep_with_rows
 from fracmatch.harness import (
+    _BATCH,
     GOLDEN,
     SampleSpec,
+    _batch_pairs,
+    _bit_batches,
     _chunk_ranges,
+    _enumeration_bits,
+    _sample_bits,
+    _sweep_task,
     enumerate_graphs,
     enumeration_count,
     plan_sweep,
@@ -120,6 +129,55 @@ def test_sample_batch_boundaries():
     assert sample_masks(spec, 3, 7) == whole[3:7]
     assert sample_masks(spec, 5, 5) == []
     assert [g.to_mask() for g in sample_graphs(spec, batch=3)] == whole
+
+
+# ------------------------------------------------------------ batch builder
+
+
+def scalar_pairs(n, masks):
+    graphs = [Graph.from_mask(n, m) for m in masks]
+    return [(g, emit_graph6(g)) for g in graphs]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_batch_pairs_match_scalar_exhaustive(n):
+    count = enumeration_count(n)
+    assert list(_batch_pairs(n, _enumeration_bits(n, 0, count))) == scalar_pairs(n, range(count))
+
+
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 20), Fraction(1, 2), Fraction(1)])
+@pytest.mark.parametrize("n", [2, 7, 30, 62, 63, 64])
+def test_batch_pairs_match_scalar_sampled(n, p):
+    spec = SampleSpec(n=n, p_num=p.numerator, p_den=p.denominator, count=40, seed=1000 + n)
+    pairs = list(_batch_pairs(n, _sample_bits(spec, 0, spec.count)))
+    assert pairs == scalar_pairs(n, sample_masks(spec, 0, spec.count))
+    # graph6 switches to the 4-character long header form at n = 63
+    head = {62: "}", 63: "~??~", 64: "~?@?"}.get(n, chr(n + 63))
+    assert all(key.startswith(head) for _, key in pairs)
+
+
+def test_batch_boundaries_keep_pairs():
+    spec = SampleSpec(n=12, p_num=1, p_den=3, count=10, seed=8)
+    whole = list(_batch_pairs(12, _sample_bits(spec, 0, 10)))
+    split = [
+        pair
+        for bits in _bit_batches(partial(_sample_bits, spec), 2, 9, batch=3)
+        for pair in _batch_pairs(12, bits)
+    ]
+    assert split == whole[2:9]
+
+
+def test_sweep_task_across_batches_matches_scalar_sweep():
+    # lo..hi starts inside the first batch and crosses two boundaries
+    lo, hi = _BATCH - 56, 2 * _BATCH + 88
+    task = _sweep_task((5, partial(_enumeration_bits, 5), "nonempty", lo, hi))
+    assert task == _sweep_pairs(scalar_pairs(5, range(lo, hi)), "nonempty")
+
+
+def test_sweep_with_rows_matches_pair_loop():
+    spec = SampleSpec(n=30, p_num=1, p_den=10, count=40, seed=31)
+    pairs = list(_batch_pairs(30, _sample_bits(spec, 0, spec.count)))
+    assert sweep_with_rows(sample_graphs(spec), "nonempty") == _sweep_pairs(pairs, "nonempty")
 
 
 # --------------------------------------------------------------------- sweeps
