@@ -6,6 +6,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def half_text(units: int) -> str:
+    """units half-units as text: "3" for 6, "7/2" for 7."""
+    return str(units // 2) if units % 2 == 0 else f"{units}/2"
+
+
 @dataclass(frozen=True, order=True)
 class HalfInt:
     """A nonnegative multiple of 1/2, kept in integer half-units.
@@ -40,9 +45,7 @@ class HalfInt:
         return Fraction(self.units, 2)
 
     def __str__(self) -> str:
-        if self.units % 2 == 0:
-            return str(self.units // 2)
-        return f"{self.units}/2"
+        return half_text(self.units)
 
     def __repr__(self) -> str:
         return f"HalfInt({self.units})"

@@ -12,6 +12,12 @@ one (batch x slots) matrix of edge bits: numpy scatters it into adjacency
 rows and, for sweeps, into graph6 keys, so no stream calls Graph.from_mask
 or emit_graph6 per graph, and the memory a batch takes is bounded by its
 fixed size whatever the population.
+
+A sweep also takes each batch's complement rows, edge counts and
+isolate-free flags from those arrays. Its per-graph loop is then two
+hopcroft_karp solves on int rows, one verdict from ngbounds.bound_verdict
+and one CSV row; a Graph is built only when an equality needs
+classifying.
 """
 
 from __future__ import annotations
@@ -26,10 +32,12 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .bipartite import hopcroft_karp
 from .errors import PreconditionError
+from .families import classify_equality_family
 from .graph import Graph, edge_slots
 from .graph6 import _header
-from .ngbounds import SweepStats, _sweep_pairs, empty_stats
+from .ngbounds import SweepRecord, SweepStats, _sweep_pairs, bound_verdict, empty_stats
 
 GOLDEN = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
@@ -52,12 +60,14 @@ def splitmix64(z: int) -> int:
 
 
 def _splitmix64_np(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
+    """splitmix64's finalizer on a fresh uint64 array, in place: each shift
+    goes into one scratch array."""
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
@@ -71,8 +81,9 @@ def _bit_batches(
         yield source(start, min(start + batch, hi))
 
 
-def _batch_graphs(n: int, bits: np.ndarray) -> List[Graph]:
-    """The graphs Graph.from_mask builds from each row of bits."""
+def _batch_rows(n: int, bits: np.ndarray) -> np.ndarray:
+    """(B, n) uint64 adjacency rows, as Graph.from_mask builds them, of each
+    row of bits."""
     b = len(bits)
     u, v = np.triu_indices(n, 1)
     adj = np.zeros((b, n, n), dtype=np.uint8)
@@ -80,7 +91,12 @@ def _batch_graphs(n: int, bits: np.ndarray) -> List[Graph]:
     adj[:, v, u] = bits
     packed = np.zeros((b, n, 8), dtype=np.uint8)
     packed[:, :, : (n + 7) // 8] = np.packbits(adj, axis=2, bitorder="little")
-    return [Graph(n, rows) for rows in packed.view("<u8").reshape(b, n).tolist()]
+    return packed.view("<u8").reshape(b, n)
+
+
+def _batch_graphs(n: int, bits: np.ndarray) -> List[Graph]:
+    """The graphs Graph.from_mask builds from each row of bits."""
+    return [Graph(n, rows) for rows in _batch_rows(n, bits).tolist()]
 
 
 def _batch_keys(n: int, bits: np.ndarray) -> List[str]:
@@ -97,11 +113,6 @@ def _batch_keys(n: int, bits: np.ndarray) -> List[str]:
     text = (np.packbits(data, axis=1) + 63).tobytes().decode("ascii")
     head = _header(n)
     return [head + text[i * width : (i + 1) * width] for i in range(b)]
-
-
-def _batch_pairs(n: int, bits: np.ndarray) -> Iterator[Tuple[Graph, str]]:
-    """(graph, graph6 key) for each row of bits."""
-    return zip(_batch_graphs(n, bits), _batch_keys(n, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +219,7 @@ def _sample_bits(spec: SampleSpec, lo: int, hi: int) -> np.ndarray:
     thresh = spec.threshold
     if thresh >= 1 << 64:
         return np.ones(r.shape, dtype=np.uint8)
-    return (r < np.uint64(thresh)).astype(np.uint8)
+    return (r < np.uint64(thresh)).view(np.uint8)
 
 
 def sample_masks(spec: SampleSpec, lo: int, hi: int) -> List[int]:
@@ -265,10 +276,38 @@ def plan_sweep(total: int, requested: int, cpus: int) -> Tuple[int, List[Tuple[i
     return max(1, min(workers, len(ranges))), ranges
 
 
+def _sweep_records(n: int, bits: np.ndarray, which: str) -> Iterator[SweepRecord]:
+    """The sweep kernel: one SweepRecord per row of bits. The batch's
+    complement rows, edge counts and isolate-free flags come from its row
+    and bit arrays at once: complement row v is the rows' complement masked
+    to the other vertices, Gc has slots - m edges, and a graph is
+    isolate-free iff no row is 0. Each graph then costs two solves on int
+    rows, converted one row at a time, plus a Graph only when an equality
+    is classified."""
+    g_rows = _batch_rows(n, bits)
+    full = (1 << n) - 1
+    gc_rows = ~g_rows & np.array([full ^ 1 << v for v in range(n)], dtype=np.uint64)
+    slots = bits.shape[1]
+    edges = bits.sum(axis=1).tolist()
+    g_free = (g_rows != 0).all(axis=1).tolist()
+    gc_free = (gc_rows != 0).all(axis=1).tolist()
+    for i, key in enumerate(_batch_keys(n, bits)):
+        rows, m = g_rows[i].tolist(), edges[i]
+        a_g = hopcroft_karp(rows, n).size
+        a_gc = hopcroft_karp(gc_rows[i].tolist(), n).size
+        v = bound_verdict(which, n, a_g, a_gc, m, slots - m, g_free[i], gc_free[i])
+        label = classify_equality_family(Graph(n, rows), which) if v.equality else None
+        yield key, n, a_g, a_gc, v, label
+
+
 def _sweep_task(args) -> Tuple[SweepStats, List[str]]:
     n, source, which, lo, hi = args
-    pairs = (pair for bits in _bit_batches(source, lo, hi) for pair in _batch_pairs(n, bits))
-    return _sweep_pairs(pairs, which)
+    records = (
+        record
+        for bits in _bit_batches(source, lo, hi)
+        for record in _sweep_records(n, bits, which)
+    )
+    return _sweep_pairs(records, which)
 
 
 def run_sweep(

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .families import FamilyLabel, classify_equality_family
 from .fm import FractionalMatching, alpha2
 from .graph import Graph, bits, mask_of
 from .graph6 import emit_graph6
-from .halfint import HalfInt
+from .halfint import HalfInt, half_text
 from .partition import GoodPartition
 
 Edge = Tuple[int, int]
@@ -35,14 +35,14 @@ BOUND_NAMES = ("basic", "nonempty", "isolate_free")
 MIN_STATED_ORDER = 28
 
 
+# Each bound's value in half-units is n plus this offset.
+_BOUND_OFFSET = {"basic": 0, "nonempty": 1, "isolate_free": 4}
+
+
 def theorem_bound_value(which: str, n: int) -> HalfInt:
-    if which == "basic":
-        return HalfInt(n)
-    if which == "nonempty":
-        return HalfInt(n + 1)
-    if which == "isolate_free":
-        return HalfInt(n + 4)
-    raise ValueError(f"unknown bound name {which!r}")
+    if which not in _BOUND_OFFSET:
+        raise ValueError(f"unknown bound name {which!r}")
+    return HalfInt(n + _BOUND_OFFSET[which])
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,37 @@ class TheoremBound:
     equality: bool
 
 
+class Verdict(NamedTuple):
+    """One bound on one graph; bound is in half-units."""
+
+    applies: bool
+    bound: int
+    satisfied: bool
+    equality: bool
+
+
+def bound_verdict(
+    which: str, n: int, a_g: int, a_gc: int, m_g: int, m_gc: int,
+    g_isolate_free: bool, gc_isolate_free: bool,
+) -> Verdict:
+    """The named bound on a graph of order n whose graph and complement
+    have doubled matching numbers a_g, a_gc and edge counts m_g, m_gc.
+    The two stronger bounds apply only from MIN_STATED_ORDER on."""
+    if n < 2:
+        raise PreconditionError(f"sum bounds need n >= 2, got {n}")
+    if which == "basic":
+        applies = True
+    elif which == "nonempty":
+        applies = n >= MIN_STATED_ORDER and m_g > 0 and m_gc > 0
+    elif which == "isolate_free":
+        applies = n >= MIN_STATED_ORDER and g_isolate_free and gc_isolate_free
+    else:
+        raise ValueError(f"unknown bound name {which!r}")
+    bound = n + _BOUND_OFFSET[which]
+    total = a_g + a_gc
+    return Verdict(applies, bound, total >= bound, total == bound)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     n: int
@@ -76,35 +107,16 @@ class BoundReport:
 def ng_sum(g: Graph) -> BoundReport:
     """Exact matching-number sum of a graph and its complement with
     per-bound applicability, satisfaction, and equality flags."""
-    if g.n < 2:
-        raise PreconditionError(f"sum bounds need n >= 2, got {g.n}")
     n = g.n
     gc = g.complement()
     a_g = alpha2(g)
     a_gc = alpha2(gc)
-    total = HalfInt(a_g + a_gc)
-
-    hyp = Hypotheses(
-        g_nonempty=g.edge_count() > 0,
-        gc_nonempty=gc.edge_count() > 0,
-        g_isolate_free=not g.isolated_vertices(),
-        gc_isolate_free=not gc.isolated_vertices(),
-        n_at_least_28=n >= MIN_STATED_ORDER,
-    )
-    applicability = {
-        "basic": True,
-        "nonempty": hyp.g_nonempty and hyp.gc_nonempty and hyp.n_at_least_28,
-        "isolate_free": hyp.g_isolate_free and hyp.gc_isolate_free and hyp.n_at_least_28,
-    }
+    m_g, m_gc = g.edge_count(), gc.edge_count()
+    g_free, gc_free = not g.isolated_vertices(), not gc.isolated_vertices()
     bounds = {}
     for which in BOUND_NAMES:
-        b = theorem_bound_value(which, n)
-        bounds[which] = TheoremBound(
-            applies=applicability[which],
-            bound=b,
-            satisfied=total >= b,
-            equality=total == b,
-        )
+        v = bound_verdict(which, n, a_g, a_gc, m_g, m_gc, g_free, gc_free)
+        bounds[which] = TheoremBound(v.applies, HalfInt(v.bound), v.satisfied, v.equality)
     family = None
     for which in ("isolate_free", "nonempty", "basic"):
         tb = bounds[which]
@@ -115,8 +127,14 @@ def ng_sum(g: Graph) -> BoundReport:
         n=n,
         alpha_g=HalfInt(a_g),
         alpha_gc=HalfInt(a_gc),
-        sum=total,
-        hypotheses=hyp,
+        sum=HalfInt(a_g + a_gc),
+        hypotheses=Hypotheses(
+            g_nonempty=m_g > 0,
+            gc_nonempty=m_gc > 0,
+            g_isolate_free=g_free,
+            gc_isolate_free=gc_free,
+            n_at_least_28=n >= MIN_STATED_ORDER,
+        ),
         bounds=bounds,
         equality_family=family,
     )
@@ -554,51 +572,64 @@ def empty_stats(which: str) -> SweepStats:
     return SweepStats(which, 0, 0, 0, 0, 0, (), ())
 
 
+# A solved sweep graph: graph6 key, n, alpha2(G), alpha2(Gc), the verdict
+# of the swept bound, and the equality family label (None without one).
+SweepRecord = Tuple[str, int, int, int, Verdict, Optional[FamilyLabel]]
+
+
 def sweep_with_rows(
     graphs: Iterable[Graph], which: str
 ) -> Tuple[SweepStats, List[str]]:
     """Evaluate one bound over a graph stream; returns aggregate counts and
     one CSV row per graph (unsorted; callers sort after merging chunks)."""
-    return _sweep_pairs(((g, emit_graph6(g)) for g in graphs), which)
+
+    def records() -> Iterable[SweepRecord]:
+        for g in graphs:
+            rep = ng_sum(g)
+            tb = rep.bounds[which]
+            # The three bound values differ, so an applicable equality is the
+            # one ng_sum already classified.
+            if not tb.equality:
+                label = None
+            elif tb.applies:
+                label = rep.equality_family
+            else:
+                label = classify_equality_family(g, which)
+            verdict = Verdict(tb.applies, tb.bound.units, tb.satisfied, tb.equality)
+            yield emit_graph6(g), g.n, rep.alpha_g.units, rep.alpha_gc.units, verdict, label
+
+    return _sweep_pairs(records(), which)
 
 
 def _sweep_pairs(
-    pairs: Iterable[Tuple[Graph, str]], which: str
+    records: Iterable[SweepRecord], which: str
 ) -> Tuple[SweepStats, List[str]]:
-    """sweep_with_rows over (graph, graph6 key) pairs whose keys are built
-    already."""
+    """Counts, violations, unmatched equalities and CSV rows of a stream
+    of solved graphs."""
     if which not in BOUND_NAMES:
         raise ValueError(f"unknown bound name {which!r}")
     total = applies = satisfied = equality = char_match = 0
     violations: List[str] = []
     unmatched: List[str] = []
     rows: List[str] = []
-    for g, g6 in pairs:
-        rep = ng_sum(g)
-        tb = rep.bounds[which]
+    for g6, n, a_g, a_gc, v, label in records:
         total += 1
-        family = ""
-        if tb.equality:
-            # The three bound values differ, so an applicable equality is the
-            # one ng_sum already classified.
-            label = rep.equality_family if tb.applies else classify_equality_family(g, which)
-            if label is not None:
-                family = label.tag.value
-        if tb.applies:
+        family = "" if label is None else label.tag.value
+        if v.applies:
             applies += 1
-            if tb.satisfied:
+            if v.satisfied:
                 satisfied += 1
             else:
                 violations.append(g6)
-            if tb.equality:
+            if v.equality:
                 equality += 1
                 if family:
                     char_match += 1
                 else:
                     unmatched.append(g6)
         rows.append(
-            f"{g6},{rep.n},{rep.alpha_g},{rep.alpha_gc},{rep.sum},"
-            f"{tb.bound},{int(tb.satisfied)},{int(tb.equality)},{family}"
+            f"{g6},{n},{half_text(a_g)},{half_text(a_gc)},{half_text(a_g + a_gc)},"
+            f"{half_text(v.bound)},{int(v.satisfied)},{int(v.equality)},{family}"
         )
     stats = SweepStats(
         which=which,
@@ -611,4 +642,3 @@ def _sweep_pairs(
         unmatched_equalities=tuple(sorted(unmatched)),
     )
     return stats, rows
-

@@ -4,21 +4,23 @@ import itertools
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 
-from fracmatch import harness
+from fracmatch import harness, ngbounds
 from fracmatch.bulk import bulk_alpha2
 from fracmatch.errors import PreconditionError
 from fracmatch.fm import alpha2
-from fracmatch.generators import complete, empty_graph
+from fracmatch.generators import complete, disjoint_union, empty_graph, k2pql, star
 from fracmatch.graph import Graph
 from fracmatch.graph6 import emit_graph6
-from fracmatch.ngbounds import _sweep_pairs, sweep_with_rows
+from fracmatch.ngbounds import BOUND_NAMES, empty_stats, sweep_with_rows
 from fracmatch.harness import (
     _BATCH,
     GOLDEN,
     SampleSpec,
-    _batch_pairs,
+    _batch_keys,
+    _batch_rows,
     _bit_batches,
     _chunk_ranges,
     _enumeration_bits,
@@ -139,17 +141,23 @@ def scalar_pairs(n, masks):
     return [(g, emit_graph6(g)) for g in graphs]
 
 
+def batch_pairs(n, bits):
+    rows = _batch_rows(n, bits)
+    assert rows.shape == (len(bits), n) and rows.dtype == np.dtype("<u8")
+    return [(Graph(n, r), key) for r, key in zip(rows.tolist(), _batch_keys(n, bits))]
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_batch_pairs_match_scalar_exhaustive(n):
     count = enumeration_count(n)
-    assert list(_batch_pairs(n, _enumeration_bits(n, 0, count))) == scalar_pairs(n, range(count))
+    assert batch_pairs(n, _enumeration_bits(n, 0, count)) == scalar_pairs(n, range(count))
 
 
 @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 20), Fraction(1, 2), Fraction(1)])
 @pytest.mark.parametrize("n", [2, 7, 30, 62, 63, 64])
 def test_batch_pairs_match_scalar_sampled(n, p):
     spec = SampleSpec(n=n, p_num=p.numerator, p_den=p.denominator, count=40, seed=1000 + n)
-    pairs = list(_batch_pairs(n, _sample_bits(spec, 0, spec.count)))
+    pairs = batch_pairs(n, _sample_bits(spec, 0, spec.count))
     assert pairs == scalar_pairs(n, sample_masks(spec, 0, spec.count))
     # graph6 switches to the 4-character long header form at n = 63
     head = {62: "}", 63: "~??~", 64: "~?@?"}.get(n, chr(n + 63))
@@ -158,11 +166,11 @@ def test_batch_pairs_match_scalar_sampled(n, p):
 
 def test_batch_boundaries_keep_pairs():
     spec = SampleSpec(n=12, p_num=1, p_den=3, count=10, seed=8)
-    whole = list(_batch_pairs(12, _sample_bits(spec, 0, 10)))
+    whole = batch_pairs(12, _sample_bits(spec, 0, 10))
     split = [
         pair
         for bits in _bit_batches(partial(_sample_bits, spec), 2, 9, batch=3)
-        for pair in _batch_pairs(12, bits)
+        for pair in batch_pairs(12, bits)
     ]
     assert split == whole[2:9]
 
@@ -171,13 +179,99 @@ def test_sweep_task_across_batches_matches_scalar_sweep():
     # lo..hi starts inside the first batch and crosses two boundaries
     lo, hi = _BATCH - 56, 2 * _BATCH + 88
     task = _sweep_task((5, partial(_enumeration_bits, 5), "nonempty", lo, hi))
-    assert task == _sweep_pairs(scalar_pairs(5, range(lo, hi)), "nonempty")
+    graphs = [g for g, _ in scalar_pairs(5, range(lo, hi))]
+    assert task == sweep_with_rows(graphs, "nonempty")
 
 
 def test_sweep_with_rows_matches_pair_loop():
     spec = SampleSpec(n=30, p_num=1, p_den=10, count=40, seed=31)
-    pairs = list(_batch_pairs(30, _sample_bits(spec, 0, spec.count)))
-    assert sweep_with_rows(sample_graphs(spec), "nonempty") == _sweep_pairs(pairs, "nonempty")
+    task = _sweep_task((30, partial(_sample_bits, spec), "nonempty", 0, spec.count))
+    assert sweep_with_rows(sample_graphs(spec), "nonempty") == task
+
+
+# ------------------------------------------------- sweep kernel = ng_sum path
+
+
+def mask_bits(n, masks, lo, hi):
+    """Edge bits of masks[lo:hi]: a sweep bit source over a fixed list."""
+    slots = n * (n - 1) // 2
+    return np.array(
+        [[m >> j & 1 for j in range(slots)] for m in masks[lo:hi]], dtype=np.uint8
+    ).reshape(hi - lo, slots)
+
+
+def kernel_and_scalar(n, source, count, which):
+    """The sweep kernel's and sweep_with_rows' (stats, rows) on the graphs
+    source gives for 0..count-1."""
+    kernel = _sweep_task((n, source, which, 0, count))
+    graphs = [g for bits in _bit_batches(source, 0, count) for g in harness._batch_graphs(n, bits)]
+    return kernel, sweep_with_rows(graphs, which)
+
+
+@pytest.mark.parametrize("which", BOUND_NAMES)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_matches_scalar_exhaustive(n, which):
+    kernel, scalar = kernel_and_scalar(n, partial(_enumeration_bits, n), enumeration_count(n), which)
+    assert kernel == scalar
+    assert kernel[0].total == enumeration_count(n)
+
+
+@pytest.mark.parametrize("which", BOUND_NAMES)
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 20), Fraction(1, 2), Fraction(1)])
+@pytest.mark.parametrize("n", [2, 27, 28, 30, 63, 64])
+def test_kernel_matches_scalar_sampled(n, p, which):
+    spec = SampleSpec(n=n, p_num=p.numerator, p_den=p.denominator, count=24, seed=2000 + n)
+    kernel, scalar = kernel_and_scalar(n, partial(_sample_bits, spec), spec.count, which)
+    assert kernel == scalar
+
+
+def equality_rich_masks():
+    """Graphs at n >= 28 on or near the equality families: the empty graph,
+    stars, K2(p,q,l) and two-star unions, their complements, and one-edge
+    flips of each."""
+    graphs = [empty_graph(29), star(28), star(31), k2pql(20, 6, 2), k2pql(14, 13, 1), k2pql(1, 1, 26)]
+    graphs += [disjoint_union(star(14), star(14)), disjoint_union(star(3), star(26))]
+    graphs += [g.complement() for g in graphs]
+    by_n = {}
+    for g in graphs:
+        mask, slots = g.to_mask(), g.n * (g.n - 1) // 2
+        by_n.setdefault(g.n, []).extend(mask ^ f for f in (0, 1, 1 << (slots // 2), 1 << (slots - 1)))
+    return sorted(by_n.items())
+
+
+@pytest.mark.parametrize("which", BOUND_NAMES)
+def test_kernel_matches_scalar_on_equalities(which):
+    seen, rows = empty_stats(which), []
+    for n, masks in equality_rich_masks():
+        kernel, scalar = kernel_and_scalar(n, partial(mask_bits, n, masks), len(masks), which)
+        assert kernel == scalar
+        seen, rows = seen.merge(kernel[0]), rows + kernel[1]
+    # the classify branch ran, and not every flip stayed an equality
+    assert 0 < seen.characterization_match == seen.equality < seen.total
+    assert any(row.split(",")[7] == "0" for row in rows)
+
+
+def test_kernel_matches_scalar_on_unmatched(monkeypatch):
+    # with no family recognised, every applicable equality is unmatched
+    monkeypatch.setattr(harness, "classify_equality_family", lambda g, which: None)
+    monkeypatch.setattr(ngbounds, "classify_equality_family", lambda g, which: None)
+    unmatched = 0
+    for which in BOUND_NAMES:
+        for n, masks in equality_rich_masks():
+            kernel, scalar = kernel_and_scalar(n, partial(mask_bits, n, masks), len(masks), which)
+            assert kernel == scalar
+            assert len(kernel[0].unmatched_equalities) == kernel[0].equality
+            unmatched += kernel[0].equality
+    assert unmatched > 0
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_kernel_rejects_tiny_orders_like_ng_sum(n):
+    with pytest.raises(PreconditionError) as scalar:
+        sweep_with_rows(enumerate_graphs(n), "basic")
+    with pytest.raises(PreconditionError) as kernel:
+        _sweep_task((n, partial(_enumeration_bits, n), "basic", 0, 1))
+    assert str(kernel.value) == str(scalar.value) == f"sum bounds need n >= 2, got {n}"
 
 
 # --------------------------------------------------------------------- sweeps

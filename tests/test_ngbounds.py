@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 from functools import partial
 
@@ -27,8 +28,12 @@ from fracmatch.generators import (
 )
 from fracmatch.graph import Graph
 from fracmatch.ngbounds import (
+    BOUND_NAMES,
     CSV_HEADER,
+    MIN_STATED_ORDER,
+    Verdict,
     applicable_rules,
+    bound_verdict,
     empty_stats,
     nearquarter_window,
     theorem_bound_value,
@@ -504,3 +509,65 @@ def test_bound_values():
     assert theorem_bound_value("basic", 30) == HalfInt(30)
     assert theorem_bound_value("nonempty", 30) == HalfInt(31)
     assert theorem_bound_value("isolate_free", 30) == HalfInt(34)
+
+
+# ---------------------------------------------------------------------------
+# the verdict of one bound
+
+
+@pytest.mark.parametrize("n", [2, 5, 27, 28, 29, 64])
+def test_verdict_applicability_truth_table(n):
+    slots = n * (n - 1) // 2
+    for m_g, g_free, gc_free in itertools.product(
+        sorted({0, 1, slots - 1, slots}), (False, True), (False, True)
+    ):
+        args = (n, 0, 0, m_g, slots - m_g, g_free, gc_free)
+        big = n >= 28
+        assert bound_verdict("basic", *args).applies
+        assert bound_verdict("nonempty", *args).applies == (big and 0 < m_g < slots)
+        assert bound_verdict("isolate_free", *args).applies == (big and g_free and gc_free)
+
+
+def test_verdict_order_boundary():
+    assert MIN_STATED_ORDER == 28
+    for which in ("nonempty", "isolate_free"):
+        assert not bound_verdict(which, 27, 4, 26, 26, 325, True, True).applies
+        assert bound_verdict(which, 28, 4, 26, 27, 351, True, True).applies
+
+
+@pytest.mark.parametrize("which,offset", [("basic", 0), ("nonempty", 1), ("isolate_free", 4)])
+def test_verdict_bound_satisfied_equality(which, offset):
+    n, bound = 30, 30 + offset
+    assert theorem_bound_value(which, n) == HalfInt(bound)
+    for a_g, a_gc in ((bound - 1, 0), (3, bound - 3), (bound, 1)):
+        total = a_g + a_gc
+        v = bound_verdict(which, n, a_g, a_gc, 100, 335, True, True)
+        assert v == Verdict(True, bound, total >= bound, total == bound)
+    # the star K_{1,29}: alpha'(G) = 1 and alpha'(Gc) = alpha'(K_29) = 29/2
+    assert bound_verdict(which, 30, 2, 29, 29, 406, False, False).equality == (which == "nonempty")
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_verdict_rejects_tiny_orders(n):
+    for which in BOUND_NAMES:
+        with pytest.raises(PreconditionError, match=f"sum bounds need n >= 2, got {n}"):
+            bound_verdict(which, n, 0, 0, 0, 0, True, True)
+
+
+def test_verdict_rejects_unknown_bound():
+    with pytest.raises(ValueError, match="unknown bound name"):
+        bound_verdict("strong", 30, 0, 0, 1, 1, True, True)
+    with pytest.raises(ValueError, match="unknown bound name"):
+        theorem_bound_value("strong", 30)
+
+
+def test_ng_sum_bounds_are_the_verdicts():
+    for g in (star(29), add_isolates(cycle(28), 1), k2pql(20, 6, 2), complete(28)):
+        rep = ng_sum(g)
+        gc = g.complement()
+        args = (g.n, rep.alpha_g.units, rep.alpha_gc.units, g.edge_count(), gc.edge_count(),
+                not g.isolated_vertices(), not gc.isolated_vertices())
+        for which in BOUND_NAMES:
+            v = bound_verdict(which, *args)
+            tb = rep.bounds[which]
+            assert (tb.applies, tb.bound.units, tb.satisfied, tb.equality) == v
