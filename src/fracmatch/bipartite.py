@@ -9,14 +9,12 @@ edge), whose maximum matching is twice the fractional matching number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import InternalInconsistencyError
 
 
-@dataclass(frozen=True)
-class BipartiteMatching:
+class BipartiteMatching(NamedTuple):
     """Maximum matching plus the equal-size vertex cover certifying it;
     the cover sides are int masks."""
 
@@ -129,10 +127,4 @@ def hopcroft_karp(rows: Sequence[int], n_right: int) -> BipartiteMatching:
     if escape & ~cover_right:
         raise InternalInconsistencyError("an edge escapes the cover")
 
-    return BipartiteMatching(
-        size=size,
-        pair_left=tuple(pair_l),
-        pair_right=tuple(pair_r),
-        cover_left=cover_left,
-        cover_right=cover_right,
-    )
+    return BipartiteMatching(size, tuple(pair_l), tuple(pair_r), cover_left, cover_right)

@@ -8,16 +8,20 @@ sweeps fan out over index ranges and still produce identical output for
 any worker count.
 
 Sampled and enumerated streams are built in batches of _BATCH graphs from
-one (batch x slots) matrix of edge bits: numpy scatters it into adjacency
-rows and, for sweeps, into graph6 keys, so no stream calls Graph.from_mask
-or emit_graph6 per graph, and the memory a batch takes is bounded by its
-fixed size whatever the population.
+one (batch x slots) matrix of edge bits: numpy gathers it, through one
+cached index map per order, into adjacency rows and, for sweeps, into
+graph6 keys, so no stream calls Graph.from_mask or emit_graph6 per graph,
+and the memory a batch takes is bounded by its fixed size whatever the
+population.
 
 A sweep also takes each batch's complement rows, edge counts and
 isolate-free flags from those arrays. Its per-graph loop is then two
 hopcroft_karp solves on int rows, one verdict from ngbounds.bound_verdict
 and one CSV row; a Graph is built only when an equality needs
-classifying.
+classifying. An enumeration holds every complement too, so it runs over
+the masks whose top slot bit is clear and reads two rows, the graph's and
+its complement's, off each pair of solves: each enumerated graph costs
+one solve, shared with its complement.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -37,7 +41,9 @@ from .errors import PreconditionError
 from .families import classify_equality_family
 from .graph import Graph, edge_slots
 from .graph6 import _header
-from .ngbounds import SweepRecord, SweepStats, _sweep_pairs, bound_verdict, empty_stats
+from .ngbounds import (
+    SweepRecord, SweepStats, _sweep_pairs, bound_verdict, check_sum_order, empty_stats,
+)
 
 GOLDEN = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
@@ -81,17 +87,33 @@ def _bit_batches(
         yield source(start, min(start + batch, hi))
 
 
+def _padded(bits: np.ndarray) -> np.ndarray:
+    """bits with one zero column appended: the index maps below send every
+    position that holds no edge slot to that column."""
+    return np.pad(bits, ((0, 0), (0, 1)))
+
+
+@lru_cache(maxsize=None)
+def _row_map(n: int) -> np.ndarray:
+    """Slot index of each (u, v) position of n padded adjacency rows; the
+    diagonal and the padding read the zero column. Rows are padded to a
+    power of two bytes, so that each packs into one unsigned word. The map
+    is cached per order, so it is read-only."""
+    slots = n * (n - 1) // 2
+    width = 8 << max(0, (n - 1).bit_length() - 3)
+    u, v = np.triu_indices(n, 1)
+    index = np.full((n, width), slots, dtype=np.intp)
+    index[u, v] = index[v, u] = np.arange(slots)
+    index.flags.writeable = False
+    return index
+
+
 def _batch_rows(n: int, bits: np.ndarray) -> np.ndarray:
     """(B, n) uint64 adjacency rows, as Graph.from_mask builds them, of each
     row of bits."""
-    b = len(bits)
-    u, v = np.triu_indices(n, 1)
-    adj = np.zeros((b, n, n), dtype=np.uint8)
-    adj[:, u, v] = bits
-    adj[:, v, u] = bits
-    packed = np.zeros((b, n, 8), dtype=np.uint8)
-    packed[:, :, : (n + 7) // 8] = np.packbits(adj, axis=2, bitorder="little")
-    return packed.view("<u8").reshape(b, n)
+    adj = np.take(_padded(bits), _row_map(n), axis=1)
+    packed = np.packbits(adj, axis=2, bitorder="little")
+    return packed.view(f"<u{packed.shape[2]}")[:, :, 0].astype("<u8", copy=False)
 
 
 def _batch_graphs(n: int, bits: np.ndarray) -> List[Graph]:
@@ -99,17 +121,32 @@ def _batch_graphs(n: int, bits: np.ndarray) -> List[Graph]:
     return [Graph(n, rows) for rows in _batch_rows(n, bits).tolist()]
 
 
-def _batch_keys(n: int, bits: np.ndarray) -> List[str]:
-    """emit_graph6 of each row of bits. The graph6 bit of slot (u, v) is
-    bit 5 - p % 6 of character p // 6, where p = v(v-1)/2 + u; it goes to
+@lru_cache(maxsize=None)
+def _key_map(n: int) -> np.ndarray:
+    """Slot index of each graph6 data bit. The graph6 bit of slot (u, v) is
+    bit 5 - p % 6 of character p // 6, where p = v(v-1)/2 + u; it sits at
     column 8 (p // 6) + 2 + p % 6, so packing each 8 columns big-endian
-    gives the character's value with its top two bits clear."""
-    b = len(bits)
+    gives the character's value with its top two bits clear. The two top
+    columns of each character and the tail past the last slot read the
+    zero column. Cached per order and read-only."""
+    slots = n * (n - 1) // 2
     u, v = np.triu_indices(n, 1)
-    p = v * (v - 1) // 2 + u
-    width = (len(p) + 5) // 6
-    data = np.zeros((b, 8 * width), dtype=np.uint8)
-    data[:, 8 * (p // 6) + 2 + p % 6] = bits
+    slot_at = np.empty(slots, dtype=np.intp)
+    slot_at[v * (v - 1) // 2 + u] = np.arange(slots)
+    col = np.arange(8 * ((slots + 5) // 6))
+    p = 6 * (col // 8) + col % 8 - 2
+    holds = (col % 8 >= 2) & (p < slots)
+    index = np.full(len(col), slots, dtype=np.intp)
+    index[holds] = slot_at[p[holds]]
+    index.flags.writeable = False
+    return index
+
+
+def _batch_keys(n: int, bits: np.ndarray) -> List[str]:
+    """emit_graph6 of each row of bits."""
+    b, index = len(bits), _key_map(n)
+    width = len(index) // 8
+    data = np.take(_padded(bits), index, axis=1)
     text = (np.packbits(data, axis=1) + 63).tobytes().decode("ascii")
     head = _header(n)
     return [head + text[i * width : (i + 1) * width] for i in range(b)]
@@ -276,14 +313,15 @@ def plan_sweep(total: int, requested: int, cpus: int) -> Tuple[int, List[Tuple[i
     return max(1, min(workers, len(ranges))), ranges
 
 
-def _sweep_records(n: int, bits: np.ndarray, which: str) -> Iterator[SweepRecord]:
-    """The sweep kernel: one SweepRecord per row of bits. The batch's
-    complement rows, edge counts and isolate-free flags come from its row
-    and bit arrays at once: complement row v is the rows' complement masked
-    to the other vertices, Gc has slots - m edges, and a graph is
-    isolate-free iff no row is 0. Each graph then costs two solves on int
-    rows, converted one row at a time, plus a Graph only when an equality
-    is classified."""
+def _sweep_records(n: int, bits: np.ndarray, which: str, paired: bool) -> Iterator[SweepRecord]:
+    """The sweep kernel: one SweepRecord per row of bits, or with paired
+    two, the second for the complement (its slot bits are the row's,
+    flipped). The batch's complement rows, edge counts and isolate-free
+    flags come from its row and bit arrays at once: complement row v is the
+    rows' complement masked to the other vertices, Gc has slots - m edges,
+    and a graph is isolate-free iff no row is 0. Each row then costs two
+    solves on int rows, converted one row at a time, plus a Graph only when
+    an equality is classified."""
     g_rows = _batch_rows(n, bits)
     full = (1 << n) - 1
     gc_rows = ~g_rows & np.array([full ^ 1 << v for v in range(n)], dtype=np.uint64)
@@ -291,21 +329,26 @@ def _sweep_records(n: int, bits: np.ndarray, which: str) -> Iterator[SweepRecord
     edges = bits.sum(axis=1).tolist()
     g_free = (g_rows != 0).all(axis=1).tolist()
     gc_free = (gc_rows != 0).all(axis=1).tolist()
+    gc_keys = _batch_keys(n, bits ^ 1) if paired else None
     for i, key in enumerate(_batch_keys(n, bits)):
-        rows, m = g_rows[i].tolist(), edges[i]
+        rows, c_rows, m = g_rows[i].tolist(), gc_rows[i].tolist(), edges[i]
         a_g = hopcroft_karp(rows, n).size
-        a_gc = hopcroft_karp(gc_rows[i].tolist(), n).size
+        a_gc = hopcroft_karp(c_rows, n).size
         v = bound_verdict(which, n, a_g, a_gc, m, slots - m, g_free[i], gc_free[i])
         label = classify_equality_family(Graph(n, rows), which) if v.equality else None
         yield key, n, a_g, a_gc, v, label
+        if paired:
+            v = bound_verdict(which, n, a_gc, a_g, slots - m, m, gc_free[i], g_free[i])
+            label = classify_equality_family(Graph(n, c_rows), which) if v.equality else None
+            yield gc_keys[i], n, a_gc, a_g, v, label
 
 
 def _sweep_task(args) -> Tuple[SweepStats, List[str]]:
-    n, source, which, lo, hi = args
+    n, source, which, paired, lo, hi = args
     records = (
         record
         for bits in _bit_batches(source, lo, hi)
-        for record in _sweep_records(n, bits, which)
+        for record in _sweep_records(n, bits, which, paired)
     )
     return _sweep_pairs(records, which)
 
@@ -318,20 +361,23 @@ def run_sweep(
     allow_large: bool = False,
     workers: Optional[int] = None,
 ) -> Tuple[SweepStats, List[str]]:
-    """Evaluate one bound over an enumerated or sampled stream. Rows come
+    """Evaluate one bound over an enumerated or sampled stream. An
+    enumeration runs over the masks whose top slot bit is clear, each
+    paired with its complement, so every graph is solved once. Rows come
     back sorted by graph6 key, so output is identical for any worker count."""
     if (enumerate_n is None) == (spec is None):
         raise PreconditionError("exactly one of enumerate_n and spec is required")
     requested = resolve_workers(workers)
     if enumerate_n is not None:
         _check_enumeration(enumerate_n, allow_large)
-        total = enumeration_count(enumerate_n)
-        n, source = enumerate_n, partial(_enumeration_bits, enumerate_n)
+        check_sum_order(enumerate_n)
+        total = enumeration_count(enumerate_n) // 2
+        n, source, paired = enumerate_n, partial(_enumeration_bits, enumerate_n), True
     else:
         total = spec.count
-        n, source = spec.n, partial(_sample_bits, spec)
+        n, source, paired = spec.n, partial(_sample_bits, spec), False
     workers, ranges = plan_sweep(total, requested, usable_cpus())
-    tasks = [(n, source, which, lo, hi) for lo, hi in ranges]
+    tasks = [(n, source, which, paired, lo, hi) for lo, hi in ranges]
     stats = empty_stats(which)
     rows: List[str] = []
     if workers == 1:

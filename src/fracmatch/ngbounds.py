@@ -71,6 +71,13 @@ class Verdict(NamedTuple):
     equality: bool
 
 
+def check_sum_order(n: int) -> None:
+    """The sum bounds speak of a graph and its complement on n >= 2
+    vertices."""
+    if n < 2:
+        raise PreconditionError(f"sum bounds need n >= 2, got {n}")
+
+
 def bound_verdict(
     which: str, n: int, a_g: int, a_gc: int, m_g: int, m_gc: int,
     g_isolate_free: bool, gc_isolate_free: bool,
@@ -78,8 +85,7 @@ def bound_verdict(
     """The named bound on a graph of order n whose graph and complement
     have doubled matching numbers a_g, a_gc and edge counts m_g, m_gc.
     The two stronger bounds apply only from MIN_STATED_ORDER on."""
-    if n < 2:
-        raise PreconditionError(f"sum bounds need n >= 2, got {n}")
+    check_sum_order(n)
     if which == "basic":
         applies = True
     elif which == "nonempty":

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fracmatch import harness, ngbounds
+from fracmatch.bipartite import hopcroft_karp
 from fracmatch.bulk import bulk_alpha2
 from fracmatch.errors import PreconditionError
 from fracmatch.fm import alpha2
@@ -178,14 +179,14 @@ def test_batch_boundaries_keep_pairs():
 def test_sweep_task_across_batches_matches_scalar_sweep():
     # lo..hi starts inside the first batch and crosses two boundaries
     lo, hi = _BATCH - 56, 2 * _BATCH + 88
-    task = _sweep_task((5, partial(_enumeration_bits, 5), "nonempty", lo, hi))
+    task = _sweep_task((5, partial(_enumeration_bits, 5), "nonempty", False, lo, hi))
     graphs = [g for g, _ in scalar_pairs(5, range(lo, hi))]
     assert task == sweep_with_rows(graphs, "nonempty")
 
 
 def test_sweep_with_rows_matches_pair_loop():
     spec = SampleSpec(n=30, p_num=1, p_den=10, count=40, seed=31)
-    task = _sweep_task((30, partial(_sample_bits, spec), "nonempty", 0, spec.count))
+    task = _sweep_task((30, partial(_sample_bits, spec), "nonempty", False, 0, spec.count))
     assert sweep_with_rows(sample_graphs(spec), "nonempty") == task
 
 
@@ -203,7 +204,7 @@ def mask_bits(n, masks, lo, hi):
 def kernel_and_scalar(n, source, count, which):
     """The sweep kernel's and sweep_with_rows' (stats, rows) on the graphs
     source gives for 0..count-1."""
-    kernel = _sweep_task((n, source, which, 0, count))
+    kernel = _sweep_task((n, source, which, False, 0, count))
     graphs = [g for bits in _bit_batches(source, 0, count) for g in harness._batch_graphs(n, bits)]
     return kernel, sweep_with_rows(graphs, which)
 
@@ -270,8 +271,77 @@ def test_kernel_rejects_tiny_orders_like_ng_sum(n):
     with pytest.raises(PreconditionError) as scalar:
         sweep_with_rows(enumerate_graphs(n), "basic")
     with pytest.raises(PreconditionError) as kernel:
-        _sweep_task((n, partial(_enumeration_bits, n), "basic", 0, 1))
+        _sweep_task((n, partial(_enumeration_bits, n), "basic", False, 0, 1))
     assert str(kernel.value) == str(scalar.value) == f"sum bounds need n >= 2, got {n}"
+
+
+# --------------------------------------- paired kernel: G and its complement
+
+
+def paired_and_unpaired(n, masks, which):
+    """The paired kernel over masks, and the unpaired kernel over masks
+    followed by their complements; rows sorted as run_sweep sorts them."""
+    full = (1 << n * (n - 1) // 2) - 1
+    both = list(masks) + [full ^ m for m in masks]
+    paired = _sweep_task((n, partial(mask_bits, n, masks), which, True, 0, len(masks)))
+    unpaired = _sweep_task((n, partial(mask_bits, n, both), which, False, 0, len(both)))
+    return (paired[0], sorted(paired[1])), (unpaired[0], sorted(unpaired[1]))
+
+
+@pytest.mark.parametrize("which", BOUND_NAMES)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_paired_kernel_matches_unpaired_exhaustive(n, which):
+    # the masks with the top slot bit clear, each with its complement, are
+    # every graph once
+    count = enumeration_count(n)
+    source = partial(_enumeration_bits, n)
+    paired = _sweep_task((n, source, which, True, 0, count // 2))
+    unpaired = _sweep_task((n, source, which, False, 0, count))
+    assert (paired[0], sorted(paired[1])) == (unpaired[0], sorted(unpaired[1]))
+    assert paired[0].total == count
+
+
+@pytest.mark.parametrize("which", BOUND_NAMES)
+def test_paired_kernel_matches_unpaired_on_equalities(which):
+    seen = empty_stats(which)
+    for n, masks in equality_rich_masks():
+        paired, unpaired = paired_and_unpaired(n, masks, which)
+        assert paired == unpaired
+        seen = seen.merge(paired[0])
+    # the complement's classify branch ran, and not every flip stayed an equality
+    assert 0 < seen.characterization_match == seen.equality < seen.total
+
+
+def test_paired_kernel_matches_unpaired_on_unmatched(monkeypatch):
+    monkeypatch.setattr(harness, "classify_equality_family", lambda g, which: None)
+    unmatched = 0
+    for which in BOUND_NAMES:
+        for n, masks in equality_rich_masks():
+            paired, unpaired = paired_and_unpaired(n, masks, which)
+            assert paired == unpaired
+            unmatched += len(paired[0].unmatched_equalities)
+    assert unmatched > 0
+
+
+def test_enumerated_sweep_solves_each_graph_once(monkeypatch):
+    calls = []
+
+    def counting(rows, n_right):
+        calls.append(n_right)
+        return hopcroft_karp(rows, n_right)
+
+    monkeypatch.setattr(harness, "hopcroft_karp", counting)
+    stats, _ = run_sweep("basic", enumerate_n=5, workers=1)
+    assert len(calls) == stats.total == enumeration_count(5)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_enumerated_sweep_rejects_tiny_orders_before_planning(monkeypatch, n):
+    # orders 0 and 1 have no graph-complement pair to plan over
+    monkeypatch.setattr(harness, "plan_sweep", None)
+    with pytest.raises(PreconditionError) as exc:
+        run_sweep("basic", enumerate_n=n, workers=2)
+    assert str(exc.value) == f"sum bounds need n >= 2, got {n}"
 
 
 # --------------------------------------------------------------------- sweeps

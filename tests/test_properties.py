@@ -66,5 +66,5 @@ def test_batch_rows_and_keys_equal_the_scalar_builders(case):
 @given(graphs(min_n=2), st.sampled_from(BOUND_NAMES))
 def test_kernel_row_equals_the_ng_sum_row(g, which):
     bits = slot_bits(g.n, [g.to_mask()])
-    kernel = _sweep_task((g.n, lambda lo, hi: bits[lo:hi], which, 0, 1))
+    kernel = _sweep_task((g.n, lambda lo, hi: bits[lo:hi], which, False, 0, 1))
     assert kernel == sweep_with_rows([g], which)
