@@ -15,12 +15,12 @@ from .errors import InternalInconsistencyError
 
 
 class BipartiteMatching(NamedTuple):
-    """Maximum matching plus the equal-size vertex cover certifying it;
-    the cover sides are int masks."""
+    """Maximum matching plus the equal-size vertex cover certifying it:
+    pair_left[u] is u's right partner (-1 when u is free), and the cover
+    sides are int masks."""
 
     size: int
     pair_left: Tuple[int, ...]
-    pair_right: Tuple[int, ...]
     cover_left: int
     cover_right: int
 
@@ -127,4 +127,4 @@ def hopcroft_karp(rows: Sequence[int], n_right: int) -> BipartiteMatching:
     if escape & ~cover_right:
         raise InternalInconsistencyError("an edge escapes the cover")
 
-    return BipartiteMatching(size, tuple(pair_l), tuple(pair_r), cover_left, cover_right)
+    return BipartiteMatching(size, tuple(pair_l), cover_left, cover_right)

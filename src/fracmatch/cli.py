@@ -21,6 +21,7 @@ from .families import FamilyLabel, classify_small_alpha, small_alpha_ng
 from .fm import alpha2, alpha_prime
 from .graph import Graph
 from .graph6 import emit_graph6, parse_edgelist, parse_graph6
+from .halfint import half_text
 from .harness import SampleSpec, run_sweep
 from .ngbounds import (
     BOUND_NAMES,
@@ -32,6 +33,9 @@ from .ngbounds import (
 )
 from .partition import good_partition, partition_dump
 from .selftest import run_all
+
+# Failure lines printed per selftest suite; its summary line counts them all.
+MAX_PRINTED_FAILURES = 20
 
 
 def _read_graph_text(arg: str) -> str:
@@ -127,7 +131,7 @@ def cmd_ngsum(args) -> int:
         "bounds": {
             which: {
                 "applies": b.applies,
-                "bound": str(b.bound),
+                "bound": half_text(b.bound),
                 "satisfied": b.satisfied,
                 "equality": b.equality,
             }
@@ -159,7 +163,7 @@ def cmd_construct(args) -> int:
     _emit(
         {
             "graph6": emit_graph6(g),
-            "complement6": emit_graph6(g.complement()),
+            "complement6": emit_graph6(f.host),
             "rule": case.rule,
             "case": case.case,
             "claimed": str(case.claimed),
@@ -228,9 +232,9 @@ def cmd_selftest(args) -> int:
     bad = False
     for result in results:
         print(result.describe())
-        for failure in result.failures:
+        for failure in result.failures[:MAX_PRINTED_FAILURES]:
             print(f"  {failure}")
-            bad = True
+        bad = bad or not result.ok
     return 1 if bad else 0
 
 
@@ -287,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", choices=list(BOUND_NAMES), default="basic")
     p.add_argument("--csv", metavar="PATH", default=None, help="rows to PATH or -")
     p.add_argument("--json", metavar="PATH", default=None, help="stats to PATH or -")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: FRACMATCH_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="process count (default: 1)")
     p.add_argument("--allow-large", action="store_true",
                    help="permit --enumerate 8")
     p.set_defaults(func=cmd_sweep)

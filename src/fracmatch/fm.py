@@ -230,25 +230,13 @@ def extract_fm(g: Graph) -> FractionalMatching:
     return f
 
 
-def canonicalize_fm(g: Graph, f: FractionalMatching) -> FractionalMatching:
+def _canonicalize(f: FractionalMatching) -> FractionalMatching:
     """Rewrite an optimal-value matching into the canonical shape: the
     half-edge subgraph a disjoint union of odd cycles, even cycles and
-    even-length half-paths re-alternated into 1-edges.
-
-    Raises ValueError when f is not optimal-value for g, and
+    even-length half-paths re-alternated into 1-edges. Raises
     InternalInconsistencyError when a value-raising rewrite would apply
     (impossible for a certified optimum) or a structure fact fails after
-    rewriting.
-    """
-    if f.host != g:
-        raise ValueError("matching belongs to a different graph")
-    a2 = alpha2(g)
-    if f.value.units != a2:
-        raise ValueError(f"matching value {f.value} is not optimal ({HalfInt(a2)})")
-    return _canonicalize(f)
-
-
-def _canonicalize(f: FractionalMatching) -> FractionalMatching:
+    rewriting."""
     changes: Dict[Edge, int] = {}
     for kind, order in f.half_support_components():
         if kind == "cycle":
@@ -305,17 +293,19 @@ def canonical_fm(g: Graph) -> FractionalMatching:
 _MAX_ORACLE_EDGES = 14
 
 
-def oracle_alpha_exhaustive(g: Graph, max_edges: int = _MAX_ORACLE_EDGES) -> HalfInt:
+def oracle_alpha_exhaustive(g: Graph) -> HalfInt:
     """Maximum value over every feasible {0, 1/2, 1} assignment, by exact
     dynamic programming over the edges in g.edges() order; it never calls
     the solver. A state packs each vertex's remaining capacity (0, 1 or 2
     half-units) into bits 2v and 2v+1 of one int, and maps to the best
     value reaching it. A vertex's bits are cleared after its last edge, so
     states that differ only on finished vertices merge. Refuses edge sets
-    above max_edges (the assignment space is 3^|E|)."""
+    above _MAX_ORACLE_EDGES (the assignment space is 3^|E|)."""
     edges = list(g.edges())
-    if len(edges) > max_edges:
-        raise PreconditionError(f"{len(edges)} edges exceeds the oracle budget {max_edges}")
+    if len(edges) > _MAX_ORACLE_EDGES:
+        raise PreconditionError(
+            f"{len(edges)} edges exceeds the oracle budget {_MAX_ORACLE_EDGES}"
+        )
     last: Dict[int, int] = {}
     for i, (u, v) in enumerate(edges):
         last[u] = last[v] = i

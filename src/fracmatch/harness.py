@@ -277,18 +277,6 @@ def sample_graphs(spec: SampleSpec, lo: int = 0, hi: Optional[int] = None,
 # Sweep execution with optional process fan-out.
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    if workers is None:
-        raw = os.environ.get("FRACMATCH_WORKERS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise PreconditionError(f"FRACMATCH_WORKERS={raw!r} is not an integer")
-    if workers < 1:
-        raise PreconditionError(f"worker count must be positive, got {workers}")
-    return workers
-
-
 def _chunk_ranges(total: int, pieces: int) -> List[Tuple[int, int]]:
     if total == 0:
         return []
@@ -359,7 +347,7 @@ def run_sweep(
     enumerate_n: Optional[int] = None,
     spec: Optional[SampleSpec] = None,
     allow_large: bool = False,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> Tuple[SweepStats, List[str]]:
     """Evaluate one bound over an enumerated or sampled stream. An
     enumeration runs over the masks whose top slot bit is clear, each
@@ -367,7 +355,8 @@ def run_sweep(
     back sorted by graph6 key, so output is identical for any worker count."""
     if (enumerate_n is None) == (spec is None):
         raise PreconditionError("exactly one of enumerate_n and spec is required")
-    requested = resolve_workers(workers)
+    if workers < 1:
+        raise PreconditionError(f"worker count must be positive, got {workers}")
     if enumerate_n is not None:
         _check_enumeration(enumerate_n, allow_large)
         check_sum_order(enumerate_n)
@@ -376,7 +365,7 @@ def run_sweep(
     else:
         total = spec.count
         n, source, paired = spec.n, partial(_sample_bits, spec), False
-    workers, ranges = plan_sweep(total, requested, usable_cpus())
+    workers, ranges = plan_sweep(total, workers, usable_cpus())
     tasks = [(n, source, which, paired, lo, hi) for lo, hi in ranges]
     stats = empty_stats(which)
     rows: List[str] = []

@@ -39,12 +39,6 @@ MIN_STATED_ORDER = 28
 _BOUND_OFFSET = {"basic": 0, "nonempty": 1, "isolate_free": 4}
 
 
-def theorem_bound_value(which: str, n: int) -> HalfInt:
-    if which not in _BOUND_OFFSET:
-        raise ValueError(f"unknown bound name {which!r}")
-    return HalfInt(n + _BOUND_OFFSET[which])
-
-
 @dataclass(frozen=True)
 class Hypotheses:
     g_nonempty: bool
@@ -52,14 +46,6 @@ class Hypotheses:
     g_isolate_free: bool
     gc_isolate_free: bool
     n_at_least_28: bool
-
-
-@dataclass(frozen=True)
-class TheoremBound:
-    applies: bool
-    bound: HalfInt
-    satisfied: bool
-    equality: bool
 
 
 class Verdict(NamedTuple):
@@ -106,7 +92,7 @@ class BoundReport:
     alpha_gc: HalfInt
     sum: HalfInt
     hypotheses: Hypotheses
-    bounds: Dict[str, TheoremBound]
+    bounds: Dict[str, Verdict]
     equality_family: Optional[FamilyLabel]
 
 
@@ -119,14 +105,14 @@ def ng_sum(g: Graph) -> BoundReport:
     a_gc = alpha2(gc)
     m_g, m_gc = g.edge_count(), gc.edge_count()
     g_free, gc_free = not g.isolated_vertices(), not gc.isolated_vertices()
-    bounds = {}
-    for which in BOUND_NAMES:
-        v = bound_verdict(which, n, a_g, a_gc, m_g, m_gc, g_free, gc_free)
-        bounds[which] = TheoremBound(v.applies, HalfInt(v.bound), v.satisfied, v.equality)
+    bounds = {
+        which: bound_verdict(which, n, a_g, a_gc, m_g, m_gc, g_free, gc_free)
+        for which in BOUND_NAMES
+    }
     family = None
     for which in ("isolate_free", "nonempty", "basic"):
-        tb = bounds[which]
-        if tb.applies and tb.equality:
+        v = bounds[which]
+        if v.applies and v.equality:
             family = classify_equality_family(g, which)
             break
     return BoundReport(
@@ -592,17 +578,16 @@ def sweep_with_rows(
     def records() -> Iterable[SweepRecord]:
         for g in graphs:
             rep = ng_sum(g)
-            tb = rep.bounds[which]
+            v = rep.bounds[which]
             # The three bound values differ, so an applicable equality is the
             # one ng_sum already classified.
-            if not tb.equality:
+            if not v.equality:
                 label = None
-            elif tb.applies:
+            elif v.applies:
                 label = rep.equality_family
             else:
                 label = classify_equality_family(g, which)
-            verdict = Verdict(tb.applies, tb.bound.units, tb.satisfied, tb.equality)
-            yield emit_graph6(g), g.n, rep.alpha_g.units, rep.alpha_gc.units, verdict, label
+            yield emit_graph6(g), g.n, rep.alpha_g.units, rep.alpha_gc.units, v, label
 
     return _sweep_pairs(records(), which)
 

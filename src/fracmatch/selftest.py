@@ -48,8 +48,6 @@ from .ngbounds import (
 )
 from .partition import good_partition
 
-MAX_REPORTED_FAILURES = 20
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -66,28 +64,23 @@ class SuiteResult:
         return f"{self.name}: {self.checked} checks, {state}"
 
 
-def _result(name: str, checked: int, failures: List[str]) -> SuiteResult:
-    return SuiteResult(name, checked, tuple(failures[:MAX_REPORTED_FAILURES]))
-
-
 # ---------------------------------------------------------------------------
 # Oracle equivalence.
 
 
 def run_oracle_suite(max_n: int = 5, oracle_edge_cap: int = 10) -> SuiteResult:
-    """alpha2 against the deficiency formula, the witness recomputation,
-    the bulk array, and (on sparse graphs) the exhaustive assignment oracle."""
+    """The value certified by the deficiency witness (berge_deficiency
+    checks it against its solve) against the witness recomputation, the
+    bulk array, and (on sparse graphs) the exhaustive assignment oracle."""
     checked = 0
     failures: List[str] = []
     for n in range(max_n + 1):
         table = bulk_alpha2(n)
         for mask, g in enumerate(enumerate_graphs(n)):
             checked += 1
-            a2 = alpha2(g)
             key = emit_graph6(g)
             w = berge_deficiency(g)
-            if a2 != n - w.deficiency:
-                failures.append(f"{key}: alpha2={a2} vs deficiency {w.deficiency}")
+            a2 = n - w.deficiency
             if deficiency_of(g, w.s_set) != w.deficiency:
                 failures.append(f"{key}: witness set does not reproduce deficiency")
             if int(table[mask]) != a2:
@@ -95,7 +88,7 @@ def run_oracle_suite(max_n: int = 5, oracle_edge_cap: int = 10) -> SuiteResult:
             if g.edge_count() <= oracle_edge_cap:
                 if oracle_alpha_exhaustive(g).units != a2:
                     failures.append(f"{key}: exhaustive oracle disagrees")
-    return _result("oracle", checked, failures)
+    return SuiteResult("oracle", checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +127,7 @@ def run_structure_suite(graphs: Iterable[Graph]) -> SuiteResult:
             if g.row(v) & ~f.full_mask():
                 failures.append(f"{key}: unweighted vertex {v} sees a non-full vertex")
                 break
-    return _result("structure", checked, failures)
+    return SuiteResult("structure", checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +143,7 @@ def run_partition_suite(graphs: Iterable[Graph]) -> SuiteResult:
             good_partition(g)
         except Exception as exc:
             failures.append(f"{emit_graph6(g)}: partition failed: {exc}")
-    return _result("partition", checked, failures)
+    return SuiteResult("partition", checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +163,17 @@ def run_classifier_suite(max_n: int = 5) -> SuiteResult:
                 failures.append(
                     f"{emit_graph6(g)}: label {label!r} vs 2a'={int(table[mask])}"
                 )
-    return _result("classifier", checked, failures)
+    return SuiteResult("classifier", checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
 # Complement constructions.
 
 def run_construction_suite(
-    graphs: Iterable[Graph], strict_from: int = MIN_STATED_ORDER
+    graphs: Iterable[Graph],
 ) -> Tuple[SuiteResult, Dict[Tuple[str, str], int]]:
     """Probe every construction whose stated preconditions hold. Below
-    strict_from, errors count as probe misses (the recipes only promise
+    MIN_STATED_ORDER, errors count as probe misses (the recipes only promise
     themselves from that order up); at or above it they are failures.
     Returns the suite result and a (rule, case) coverage count."""
     checked = 0
@@ -204,7 +197,7 @@ def run_construction_suite(
             try:
                 f, case = _RULES[rule](g, gc, p)
             except (PreconditionError, InternalInconsistencyError) as exc:
-                if n >= strict_from:
+                if n >= MIN_STATED_ORDER:
                     failures.append(f"{key} {rule}: {exc}")
                 continue
             if f.value.units > cap:
@@ -212,7 +205,7 @@ def run_construction_suite(
             if Fraction(f.value.units, 2) < case.claimed:
                 failures.append(f"{key} {rule}: value below claim {case.claimed}")
             coverage[(case.rule, case.case)] = coverage.get((case.rule, case.case), 0) + 1
-    return _result("construction", checked, failures), coverage
+    return SuiteResult("construction", checked, tuple(failures)), coverage
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +418,7 @@ def run_determinism_suite() -> SuiteResult:
     if sw1 != sw2:
         failures.append("sampled sweep output depends on worker count")
 
-    return _result("determinism", checked, failures)
+    return SuiteResult("determinism", checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

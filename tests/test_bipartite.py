@@ -29,12 +29,11 @@ def brute_max_matching(rows):
 
 
 def check_certificate(rows, m):
-    # pairing arrays agree with each other and with the reported size
-    assert sum(1 for v in m.pair_left if v != -1) == m.size
-    assert sum(1 for u in m.pair_right if u != -1) == m.size
+    # the pairing is a matching of the reported size on edges of rows
+    partners = [v for v in m.pair_left if v != -1]
+    assert len(partners) == len(set(partners)) == m.size
     for u, v in enumerate(m.pair_left):
         if v != -1:
-            assert m.pair_right[v] == u
             assert rows[u] >> v & 1
     # König: |cover| == size and every edge is covered
     assert m.cover_left.bit_count() + m.cover_right.bit_count() == m.size
@@ -45,7 +44,7 @@ def check_certificate(rows, m):
 
 def reference_hopcroft_karp(n_left, n_right, adj):
     """The tuple-adjacency matcher the bit-row one replaced, verbatim in
-    its exploration order: (pair_left, pair_right, cover_left, cover_right)."""
+    its exploration order: (pair_left, cover_left, cover_right)."""
     pair_l = [-1] * n_left
     pair_r = [-1] * n_right
     dist = [-1] * n_left
@@ -98,13 +97,13 @@ def reference_hopcroft_karp(n_left, n_right, adj):
                 q.append(w)
     cover_left = frozenset(u for u in range(n_left) if not seen_l[u])
     cover_right = frozenset(v for v in range(n_right) if seen_r[v])
-    return tuple(pair_l), tuple(pair_r), cover_left, cover_right
+    return tuple(pair_l), cover_left, cover_right
 
 
 def assert_same_order(rows, n_right):
     m = hopcroft_karp(rows, n_right)
     ref = reference_hopcroft_karp(len(rows), n_right, [tuple(bits(r)) for r in rows])
-    got = (m.pair_left, m.pair_right, frozenset(bits(m.cover_left)), frozenset(bits(m.cover_right)))
+    got = (m.pair_left, frozenset(bits(m.cover_left)), frozenset(bits(m.cover_right)))
     assert got == ref, rows
     check_certificate(rows, m)
 
@@ -120,7 +119,6 @@ def test_deterministic_pairing():
     # two equivalent optima exist; ascending tie-breaks must pick (0,0),(1,1)
     m = hopcroft_karp([0b11, 0b11], 2)
     assert m.pair_left == (0, 1)
-    assert m.pair_right == (0, 1)
 
 
 def test_augmenting_path_case():

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from fracmatch.cli import load_graph, main
+from fracmatch.cli import build_parser, load_graph, main
 from fracmatch.fm import alpha2
-from fracmatch.generators import add_isolates, complete, disjoint_union, star
+from fracmatch.generators import add_isolates, complete, disjoint_union, k2pql, star
 from fracmatch.graph import Graph
 from fracmatch.graph6 import emit_edgelist, emit_graph6, parse_graph6
 from fracmatch.halfint import HalfInt
@@ -106,6 +106,68 @@ def test_ngsum_star_equality(capsys, tmp_path):
     assert doc["equality_family"] == {"tag": "StarUnion", "k": 28}
 
 
+def _verdict(applies, bound, satisfied, equality):
+    return {"applies": applies, "bound": bound, "satisfied": satisfied, "equality": equality}
+
+
+NGSUM_DOCS = [
+    (
+        star(29),
+        {
+            "n": 29,
+            "alpha_g": "1",
+            "alpha_gc": "14",
+            "sum": "15",
+            "hypotheses": {
+                "g_nonempty": True,
+                "gc_nonempty": True,
+                "g_isolate_free": True,
+                "gc_isolate_free": False,
+                "n_at_least_28": True,
+            },
+            "bounds": {
+                "basic": _verdict(True, "29/2", True, False),
+                "nonempty": _verdict(True, "15", True, True),
+                "isolate_free": _verdict(False, "33/2", False, False),
+            },
+            "equality_family": {"tag": "StarUnion", "k": 28},
+        },
+    ),
+    (
+        k2pql(14, 13, 1),
+        {
+            "n": 30,
+            "alpha_g": "2",
+            "alpha_gc": "15",
+            "sum": "17",
+            "hypotheses": {
+                "g_nonempty": True,
+                "gc_nonempty": True,
+                "g_isolate_free": True,
+                "gc_isolate_free": True,
+                "n_at_least_28": True,
+            },
+            "bounds": {
+                "basic": _verdict(True, "15", True, False),
+                "nonempty": _verdict(True, "31/2", True, False),
+                "isolate_free": _verdict(True, "17", True, True),
+            },
+            "equality_family": {"tag": "K2pql", "p": 14, "q": 13, "ell": 1},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("g,doc", NGSUM_DOCS, ids=["star29", "k2pql_14_13_1"])
+def test_ngsum_whole_document(capsys, g, doc):
+    """Every field, in order and byte for byte, including the bounds that
+    do not apply and the equality family."""
+    g6 = emit_graph6(g)
+    code, out, _ = run(capsys, "ngsum", g6)
+    assert code == 0
+    assert out == json.dumps({"graph6": g6, **doc}, indent=2) + "\n"
+
+
 def test_ngsum_tiny_rejected(capsys):
     code, _, err = run(capsys, "ngsum", "@")
     assert code == 2
@@ -132,6 +194,7 @@ def test_construct_auto_rule(capsys):
     doc = json.loads(out)
     assert doc["rule"] == "plus_one"
     assert doc["case"] == "v11_internal"
+    assert doc["complement6"] == emit_graph6(g.complement())
     assert doc["claimed"] == "11/2"
     units = sum(units for _, _, units in doc["weights"])
     assert units >= 11
@@ -177,6 +240,10 @@ def test_construct_any_order_probe_miss_is_clean(capsys):
 
 
 # --------------------------------------------------------------------- sweep
+
+
+def test_sweep_workers_default_is_one():
+    assert build_parser().parse_args(["sweep", "--enumerate", "3"]).workers == 1
 
 
 def test_sweep_enumerate_csv(capsys, tmp_path):

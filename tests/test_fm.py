@@ -10,8 +10,8 @@ from fracmatch.fm import (
     alpha2,
     alpha_prime,
     berge_deficiency,
+    _canonicalize,
     canonical_fm,
-    canonicalize_fm,
     deficiency_of,
     extract_fm,
     oracle_alpha_exhaustive,
@@ -121,7 +121,6 @@ def test_oracle_frontier_path():
 def test_oracle_budget():
     with pytest.raises(PreconditionError):
         oracle_alpha_exhaustive(complete(6))  # 15 edges
-    assert oracle_alpha_exhaustive(complete(6), max_edges=15).units == 6
 
 
 def brute_max_deficiency(g):
@@ -191,29 +190,21 @@ def test_half_support_components_orders():
 def test_canonicalize_even_cycle():
     g = cycle(4)
     f = FractionalMatching(g, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
-    out = canonicalize_fm(g, f)
+    out = _canonicalize(f)
     assert out.items() == [((0, 1), 2), ((2, 3), 2)]
 
 
 def test_canonicalize_even_path():
     g = path(3)
     f = FractionalMatching(g, {(0, 1): 1, (1, 2): 1})
-    out = canonicalize_fm(g, f)
+    out = _canonicalize(f)
     assert out.items() == [((0, 1), 2)]
 
 
 def test_canonicalize_keeps_odd_cycles():
     g = cycle(5)
     f = extract_fm(g)
-    assert canonicalize_fm(g, f) == f
-
-
-def test_canonicalize_rejects_suboptimal():
-    g = path(3)
-    with pytest.raises(ValueError):
-        canonicalize_fm(g, FractionalMatching(g, {(0, 1): 1}))
-    with pytest.raises(ValueError):
-        canonicalize_fm(cycle(4), FractionalMatching(path(3), {(0, 1): 2}))
+    assert _canonicalize(f) == f
 
 
 def test_canonical_shape_exhaustive_to_n5():

@@ -1,5 +1,6 @@
 """Enumeration, seeded sampling, bulk evaluation, and sweep determinism."""
 
+import inspect
 import itertools
 from fractions import Fraction
 from functools import partial
@@ -30,7 +31,6 @@ from fracmatch.harness import (
     enumerate_graphs,
     enumeration_count,
     plan_sweep,
-    resolve_workers,
     run_sweep,
     sample_graph,
     sample_graphs,
@@ -370,17 +370,11 @@ def test_sweep_requires_one_source():
         )
 
 
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("FRACMATCH_WORKERS", raising=False)
-    assert resolve_workers() == 1
-    assert resolve_workers(4) == 4
-    monkeypatch.setenv("FRACMATCH_WORKERS", "3")
-    assert resolve_workers() == 3
-    monkeypatch.setenv("FRACMATCH_WORKERS", "zero")
-    with pytest.raises(PreconditionError):
-        resolve_workers()
-    with pytest.raises(PreconditionError):
-        resolve_workers(0)
+def test_run_sweep_workers_default_and_validation():
+    assert inspect.signature(run_sweep).parameters["workers"].default == 1
+    for workers in (0, -1):
+        with pytest.raises(PreconditionError, match="worker count must be positive"):
+            run_sweep("basic", enumerate_n=3, workers=workers)
 
 
 def test_plan_sweep_clamps_workers():

@@ -1,8 +1,10 @@
 """The package's modules import only names they use, every module-level
-name they define is used somewhere, and every name the package exports at
-the top level resolves."""
+name they define is used somewhere, every name the package exports at
+the top level resolves, and so does every package name the benchmark
+reads."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -112,3 +114,91 @@ def test_scan_sees_an_unreferenced_name():
 def test_every_exported_name_resolves():
     for name in fracmatch.__all__:
         assert hasattr(fracmatch, name), name
+
+
+# The benchmark's files that read the package directly. The tracer's
+# TARGETS are left out: it skips a target that is missing by design.
+BENCHMARK_READERS = ("child.py", "checks.py", "test_smoke.py")
+
+
+def package_reads(source: str) -> set:
+    """Dotted paths under fracmatch that source reads: names imported from
+    a fracmatch module, and attribute chains on a name so imported, cut
+    before the first dunder (a tracer adds __wrapped__)."""
+    tree = ast.parse(source)
+    local = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fracmatch"):
+            for a in node.names:
+                local[a.asname or a.name] = f"{node.module}.{a.name}"
+    reads = set(local.values())
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in local:
+            path = local[node.id]
+            for attr in reversed(parts):
+                if attr.startswith("__"):
+                    break
+                path += "." + attr
+                reads.add(path)
+    return reads
+
+
+def resolves(path: str) -> bool:
+    """Whether the longest importable module prefix of path has the rest
+    as an attribute chain."""
+    parts = path.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_scan_sees_package_reads():
+    source = (
+        "from fracmatch import fm\n"
+        "from fracmatch.errors import PreconditionError as PE\n"
+        "def f(g):\n"
+        "    from fracmatch.bulk import bulk_alpha2\n"
+        "    fm.alpha2.__wrapped__\n"
+        "    fm.Graph.from_mask(1).rows\n"
+        "    other.attr\n"
+    )
+    assert package_reads(source) == {
+        "fracmatch.fm",
+        "fracmatch.errors.PreconditionError",
+        "fracmatch.bulk.bulk_alpha2",
+        "fracmatch.fm.alpha2",
+        "fracmatch.fm.Graph",
+        "fracmatch.fm.Graph.from_mask",
+    }
+    assert resolves("fracmatch.graph.Graph.from_mask")
+    assert not resolves("fracmatch.graph.Graph.no_such_method")
+    assert not resolves("fracmatch.no_such_module.name")
+
+
+def test_every_benchmark_read_resolves():
+    reads = set()
+    for name in BENCHMARK_READERS:
+        reads |= package_reads((REPO / "fmbench" / name).read_text())
+    assert "fracmatch.ngbounds.sweep_with_rows" in reads
+    assert [path for path in sorted(reads) if not resolves(path)] == []
+
+
+def test_benchmark_identity_bindings():
+    # fmbench/test_smoke.py asserts these while its tracer is installed;
+    # the tracer rewraps every binding of one object together.
+    from fracmatch import fm, ngbounds, partition
+
+    assert fm.alpha2 is ngbounds.alpha2 is partition.alpha2
+    assert fm.hopcroft_karp is partition.hopcroft_karp

@@ -36,7 +36,6 @@ from fracmatch.ngbounds import (
     bound_verdict,
     empty_stats,
     nearquarter_window,
-    theorem_bound_value,
 )
 from fracmatch.selftest import branch_corpus, corpus_with_relabelings
 
@@ -506,9 +505,10 @@ def test_sweep_rejects_unknown_bound():
 
 
 def test_bound_values():
-    assert theorem_bound_value("basic", 30) == HalfInt(30)
-    assert theorem_bound_value("nonempty", 30) == HalfInt(31)
-    assert theorem_bound_value("isolate_free", 30) == HalfInt(34)
+    args = (30, 0, 0, 1, 1, True, True)
+    assert bound_verdict("basic", *args).bound == 30
+    assert bound_verdict("nonempty", *args).bound == 31
+    assert bound_verdict("isolate_free", *args).bound == 34
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +538,6 @@ def test_verdict_order_boundary():
 @pytest.mark.parametrize("which,offset", [("basic", 0), ("nonempty", 1), ("isolate_free", 4)])
 def test_verdict_bound_satisfied_equality(which, offset):
     n, bound = 30, 30 + offset
-    assert theorem_bound_value(which, n) == HalfInt(bound)
     for a_g, a_gc in ((bound - 1, 0), (3, bound - 3), (bound, 1)):
         total = a_g + a_gc
         v = bound_verdict(which, n, a_g, a_gc, 100, 335, True, True)
@@ -557,8 +556,6 @@ def test_verdict_rejects_tiny_orders(n):
 def test_verdict_rejects_unknown_bound():
     with pytest.raises(ValueError, match="unknown bound name"):
         bound_verdict("strong", 30, 0, 0, 1, 1, True, True)
-    with pytest.raises(ValueError, match="unknown bound name"):
-        theorem_bound_value("strong", 30)
 
 
 def test_ng_sum_bounds_are_the_verdicts():
@@ -568,6 +565,4 @@ def test_ng_sum_bounds_are_the_verdicts():
         args = (g.n, rep.alpha_g.units, rep.alpha_gc.units, g.edge_count(), gc.edge_count(),
                 not g.isolated_vertices(), not gc.isolated_vertices())
         for which in BOUND_NAMES:
-            v = bound_verdict(which, *args)
-            tb = rep.bounds[which]
-            assert (tb.applies, tb.bound.units, tb.satisfied, tb.equality) == v
+            assert rep.bounds[which] == bound_verdict(which, *args)

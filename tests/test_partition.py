@@ -6,7 +6,7 @@ import pytest
 
 from fracmatch import partition
 from fracmatch.errors import InternalInconsistencyError
-from fracmatch.fm import FractionalMatching, alpha2, canonicalize_fm
+from fracmatch.fm import FractionalMatching, _canonicalize, alpha2
 from fracmatch.generators import add_isolates, complete, cycle, disjoint_union, k2pql, star
 from fracmatch.graph import Graph, bits
 from fracmatch.halfint import HalfInt
@@ -146,7 +146,7 @@ def test_canonicalize_rebuilds_even_half_cycle():
     )
     check_partition_structure(g, p)
     assert not verify_partition(g, p).all_ok()
-    rebuilt = _build_partition(g, canonicalize_fm(g, f))
+    rebuilt = _build_partition(g, _canonicalize(f))
     check_partition_structure(g, rebuilt)
     assert rebuilt.t == f.value
     assert verify_partition(g, rebuilt).all_ok()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fracmatch import selftest
+from fracmatch import cli, selftest
 from fracmatch.errors import InternalInconsistencyError
 from fracmatch.fm import alpha2
 from fracmatch.harness import SampleSpec, enumerate_graphs, sample_graphs
@@ -62,6 +62,23 @@ def test_structure_suite_reports_failed_certificate(monkeypatch):
         "A?: canonical matching failed: injected",
         "A_: canonical matching failed: injected",
     )
+
+
+def test_every_failure_is_counted_and_the_printout_is_capped(monkeypatch, capsys):
+    def broken(g):
+        raise InternalInconsistencyError("injected")
+
+    monkeypatch.setattr(selftest, "good_partition", broken)
+    result = run_partition_suite(list(enumerate_graphs(4))[:25])
+    assert len(result.failures) == 25
+    assert result.describe() == "partition: 25 checks, FAILED (25 failures)"
+
+    monkeypatch.setattr(cli, "run_all", lambda quick: [result])
+    assert cli.main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == result.describe()
+    assert lines[1:] == [f"  {f}" for f in result.failures[: cli.MAX_PRINTED_FAILURES]]
+    assert len(lines) == 1 + 20
 
 
 def test_shuffled_preserves_matching_number():
