@@ -13,7 +13,7 @@ recount.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .bipartite import hopcroft_karp
 from .errors import InternalInconsistencyError, PreconditionError
@@ -23,19 +23,42 @@ from .halfint import HalfInt
 Edge = Tuple[int, int]
 
 
+def _walk(half_rows: Sequence[int], start: int, nxt: int) -> Tuple[List[int], bool]:
+    """Vertices met walking the half-edge subgraph from start through its
+    half-neighbour nxt, up to a path end or back at start; the flag says
+    whether the walk closed a cycle."""
+    order = [start]
+    prev, cur = start, nxt
+    while cur != start:
+        order.append(cur)
+        step = half_rows[cur] & ~(1 << prev)
+        if not step:
+            return order, False
+        prev, cur = cur, step.bit_length() - 1
+    return order, True
+
+
 class FractionalMatching:
     """Half-integral edge weights on a host graph.
 
     Weights are stored sparsely as {(u,v): units} with u < v and
     units in {1, 2}; absent edges carry 0. Construction validates that every
     weighted pair is a host edge and every vertex load is at most 2 units.
+    The same pass records every derived fact the certificate layer reads:
+    the value, each vertex's load and weight-1 partner (-1 when it has
+    none), the bit rows of the half-edge subgraph, and the full and half
+    vertex masks whose union is the support.
     """
 
-    __slots__ = ("host", "_w", "_loads")
+    __slots__ = ("host", "value", "_w", "_loads", "_partners", "_half_rows", "_full", "_half")
 
     def __init__(self, host: Graph, weights: Dict[Edge, int]):
+        n = host.n
         w: Dict[Edge, int] = {}
-        loads = [0] * host.n
+        loads = [0] * n
+        partners = [-1] * n
+        half_rows = [0] * n
+        full = half = 0
         for (u, v), units in weights.items():
             if u > v:
                 u, v = v, u
@@ -48,115 +71,79 @@ class FractionalMatching:
             w[(u, v)] = units
             loads[u] += units
             loads[v] += units
+            if units == 2:
+                partners[u], partners[v] = v, u
+                full |= 1 << u | 1 << v
+            else:
+                half_rows[u] |= 1 << v
+                half_rows[v] |= 1 << u
+                half |= 1 << u | 1 << v
         for v, load in enumerate(loads):
             if load > 2:
                 raise ValueError(f"vertex {v} overloaded: {load} half-units")
         self.host = host
+        self.value = HalfInt(sum(w.values()))
         self._w = w
         self._loads = tuple(loads)
-
-    @property
-    def value(self) -> HalfInt:
-        return HalfInt(sum(self._w.values()))
-
-    def weight_units(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self._w.get((u, v), 0)
+        self._partners = tuple(partners)
+        self._half_rows = tuple(half_rows)
+        self._full = full
+        self._half = half
 
     def load_units(self, v: int) -> int:
         return self._loads[v]
+
+    def partner(self, v: int) -> int:
+        """The vertex joined to v by a 1-edge, or -1."""
+        return self._partners[v]
+
+    def half_row(self, v: int) -> int:
+        """Mask of the vertices joined to v by a half-edge."""
+        return self._half_rows[v]
 
     def items(self) -> List[Tuple[Edge, int]]:
         return sorted(self._w.items())
 
     def one_edges(self) -> List[Edge]:
-        return sorted(e for e, units in self._w.items() if units == 2)
-
-    def half_edges(self) -> List[Edge]:
-        return sorted(e for e, units in self._w.items() if units == 1)
+        return [(u, v) for u, v in enumerate(self._partners) if u < v]
 
     def support_mask(self) -> int:
-        m = 0
-        for v, load in enumerate(self._loads):
-            if load:
-                m |= 1 << v
-        return m
+        return self._full | self._half
 
     def full_mask(self) -> int:
-        m = 0
-        for u, v in self.one_edges():
-            m |= 1 << u | 1 << v
-        return m
+        return self._full
 
     def half_mask(self) -> int:
-        m = 0
-        for u, v in self.half_edges():
-            m |= 1 << u | 1 << v
-        return m
+        return self._half
 
     def unweighted_mask(self) -> int:
-        return ((1 << self.host.n) - 1) & ~self.support_mask()
-
-    def replace(self, changes: Dict[Edge, int]) -> "FractionalMatching":
-        """New matching with the given edges reassigned (0 deletes)."""
-        w = dict(self._w)
-        for (u, v), units in changes.items():
-            if u > v:
-                u, v = v, u
-            if units == 0:
-                w.pop((u, v), None)
-            else:
-                w[(u, v)] = units
-        return FractionalMatching(self.host, w)
+        return ((1 << self.host.n) - 1) & ~(self._full | self._half)
 
     def half_support_components(self) -> List[Tuple[str, List[int]]]:
         """Connected components of the half-edge subgraph as
-        ("cycle"|"path", vertices in deterministic traversal order).
+        ("cycle"|"path", vertices in deterministic traversal order), in
+        order of their smallest vertex.
 
         Cycles start at their smallest vertex and step toward its smaller
-        half-neighbour; paths start at their smaller endpoint.
+        half-neighbour; paths start at their smaller endpoint. Every load is
+        at most 2 units, so no vertex has more than two half-neighbours.
         """
-        nbrs: Dict[int, List[int]] = {}
-        for u, v in self.half_edges():
-            nbrs.setdefault(u, []).append(v)
-            nbrs.setdefault(v, []).append(u)
-        for v in nbrs:
-            nbrs[v].sort()
+        rows = self._half_rows
         out: List[Tuple[str, List[int]]] = []
-        seen = set()
-        for start in sorted(nbrs):
-            if start in seen:
-                continue
-            comp = set()
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                if x in comp:
-                    continue
-                comp.add(x)
-                stack.extend(nbrs[x])
-            seen |= comp
-            ends = sorted(v for v in comp if len(nbrs[v]) == 1)
-            if ends:
-                if len(ends) != 2:
-                    raise InternalInconsistencyError(f"half-path with {len(ends)} endpoints")
-                order = [ends[0]]
-            else:
-                first = min(comp)
-                order = [first, nbrs[first][0]]
-            while True:
-                cur = order[-1]
-                prev = order[-2] if len(order) > 1 else None
-                step = [x for x in nbrs[cur] if x != prev]
-                if not step:
-                    out.append(("path", order))
-                    break
-                nxt = step[0]
-                if nxt == order[0]:
-                    out.append(("cycle", order))
-                    break
-                order.append(nxt)
+        left = self._half
+        while left:
+            first = (left & -left).bit_length() - 1
+            row = rows[first]
+            low = (row & -row).bit_length() - 1
+            order, closed = _walk(rows, first, low)
+            if not closed and row != 1 << low:
+                # first lies inside the path: prepend its other side.
+                back, _ = _walk(rows, first, (row ^ 1 << low).bit_length() - 1)
+                order = back[:0:-1] + order
+                if order[-1] < order[0]:
+                    order.reverse()
+            left &= ~mask_of(order)
+            out.append(("cycle" if closed else "path", order))
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -181,12 +168,14 @@ class BergeWitness:
 
 
 def deficiency_of(g: Graph, s_set: Iterable[int]) -> int:
+    """i(G-S) - |S|: a vertex outside S is isolated in G-S unless some
+    vertex outside S reaches it."""
     s_mask = mask_of(s_set)
-    iso = 0
-    for v in bits(((1 << g.n) - 1) & ~s_mask):
-        if g.row(v) & ~s_mask == 0:
-            iso += 1
-    return iso - s_mask.bit_count()
+    rest = ((1 << g.n) - 1) & ~s_mask
+    reached = 0
+    for v in bits(rest):
+        reached |= g.row(v)
+    return (rest & ~reached).bit_count() - s_mask.bit_count()
 
 
 def alpha2(g: Graph) -> int:
@@ -231,54 +220,47 @@ def extract_fm(g: Graph) -> FractionalMatching:
 
 
 def _canonicalize(f: FractionalMatching) -> FractionalMatching:
-    """Rewrite an optimal-value matching into the canonical shape: the
-    half-edge subgraph a disjoint union of odd cycles, even cycles and
-    even-length half-paths re-alternated into 1-edges. Raises
-    InternalInconsistencyError when a value-raising rewrite would apply
-    (impossible for a certified optimum) or a structure fact fails after
-    rewriting."""
-    changes: Dict[Edge, int] = {}
+    """Rewrite an optimal-value matching into the canonical shape: one scan
+    of the half-edge components re-alternates even cycles and even-length
+    half-paths into 1-edges and keeps the odd cycles, so the result's
+    half-edge subgraph is a disjoint union of odd cycles. Raises
+    InternalInconsistencyError when a value-raising rewrite would apply (an
+    odd half-path, impossible for a certified optimum) or an adjacency fact
+    fails after rewriting."""
+    w = dict(f._w)
     for kind, order in f.half_support_components():
         if kind == "cycle":
             if len(order) % 2 == 1:
                 continue
-            for i in range(len(order)):
-                u, v = order[i], order[(i + 1) % len(order)]
-                changes[(min(u, v), max(u, v))] = 2 if i % 2 == 0 else 0
-        else:
-            k = len(order) - 1
-            if k % 2 == 1:
-                raise InternalInconsistencyError(
-                    f"odd half-path {order} in a value-optimal matching"
-                )
-            for i in range(k):
-                u, v = order[i], order[i + 1]
-                changes[(min(u, v), max(u, v))] = 2 if i % 2 == 0 else 0
-    out = f.replace(changes) if changes else f
+            order = order + order[:1]
+        elif len(order) % 2 == 0:
+            raise InternalInconsistencyError(
+                f"odd half-path {order} in a value-optimal matching"
+            )
+        for i in range(len(order) - 1):
+            u, v = order[i], order[i + 1]
+            e = (u, v) if u < v else (v, u)
+            if i % 2 == 0:
+                w[e] = 2
+            else:
+                del w[e]
+    out = FractionalMatching(f.host, w) if w != f._w else f
 
-    if out.value.units != f.value.units:
+    if out.value != f.value:
         raise InternalInconsistencyError("canonicalization changed the value")
-    _assert_canonical_shape(out)
-    return out
-
-
-def _assert_canonical_shape(f: FractionalMatching) -> None:
     g = f.host
-    for kind, order in f.half_support_components():
-        if kind != "cycle" or len(order) % 2 == 0:
-            raise InternalInconsistencyError(f"half-support {kind} {order} is not an odd cycle")
-    unweighted = f.unweighted_mask()
-    full = f.full_mask()
-    half = f.half_mask()
+    unweighted = out.unweighted_mask()
+    full = out.full_mask()
     for v in bits(unweighted):
         nb = g.row(v)
         if nb & unweighted:
             raise InternalInconsistencyError(f"adjacent unweighted vertices at {v}")
         if nb & ~full:
             raise InternalInconsistencyError(f"unweighted vertex {v} has a non-full neighbour")
-    for v in bits(half):
+    for v in bits(out.half_mask()):
         if g.row(v) & unweighted:
             raise InternalInconsistencyError(f"half-cycle vertex {v} touches an unweighted vertex")
+    return out
 
 
 def canonical_fm(g: Graph) -> FractionalMatching:

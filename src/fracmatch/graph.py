@@ -122,12 +122,6 @@ class Graph:
         rows[v] |= 1 << u
         return Graph(self.n, rows)
 
-    def is_spanning_subgraph_of(self, other: "Graph") -> bool:
-        """Labelled containment: same vertex set, every edge of self in other."""
-        if self.n != other.n:
-            raise ValueError(f"order mismatch: {self.n} != {other.n}")
-        return all(r & ~s == 0 for r, s in zip(self._rows, other._rows))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

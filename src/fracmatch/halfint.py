@@ -27,19 +27,8 @@ class HalfInt:
         if self.units < 0:
             raise ValueError(f"negative half-unit count: {self.units}")
 
-    @classmethod
-    def whole(cls, k: int) -> "HalfInt":
-        return cls(2 * k)
-
     def __add__(self, other: "HalfInt") -> "HalfInt":
         return HalfInt(self.units + other.units)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.units - other.units)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.units % 2 == 0
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.units, 2)

@@ -396,12 +396,8 @@ def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
             f"vertex {u} has no complement neighbour despite an isolate-free complement"
         )
     v = next(bits(cands))
-    partner = {}
-    for a, b in p.fm.one_edges():
-        partner[a] = b
-        partner[b] = a
-    vp = partner.get(v)
-    if vp is None or vp not in p.v11 or vp == u:
+    vp = p.fm.partner(v)
+    if vp not in p.v11 or vp == u:
         raise InternalInconsistencyError("partner bookkeeping broke in the partner branch")
     c = gc.row(vp) & v12_mask
     if not c:

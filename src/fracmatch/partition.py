@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .bipartite import hopcroft_karp
 from .errors import InternalInconsistencyError
@@ -110,15 +110,12 @@ def _build_partition(g: Graph, f: FractionalMatching) -> GoodPartition:
     v12 = frozenset(v1) - v11
     v22 = frozenset(bits(unweighted)) - v21
 
-    partner: Dict[int, int] = {}
-    for a, b in f.one_edges():
-        partner[a] = b
-        partner[b] = a
-    x = set()
-    for u in v11:
-        if u not in partner:
-            raise InternalInconsistencyError(f"paired vertex {u} has no weight-1 edge")
-        x.add(partner[u])
+    unfull = mask_of(v11) & ~f.full_mask()
+    if unfull:
+        raise InternalInconsistencyError(
+            f"paired vertex {next(bits(unfull))} has no weight-1 edge"
+        )
+    x = frozenset(f.partner(u) for u in v11)
     if len(x) != m.size or not x <= v12:
         raise InternalInconsistencyError("weight-1 partners of v11 do not land in v12")
 
@@ -127,7 +124,7 @@ def _build_partition(g: Graph, f: FractionalMatching) -> GoodPartition:
         v12=v12,
         v21=v21,
         v22=v22,
-        x=frozenset(x),
+        x=x,
         s=m.size,
         t=f.value,
         fm=f,
@@ -140,21 +137,17 @@ def verify_partition(g: Graph, p: GoodPartition) -> PropertyReport:
     v2_mask = mask_of(p.v21 | p.v22)
     x_mask = mask_of(p.x)
     v11_mask = mask_of(p.v11)
+    f = p.fm
 
     prop_a = True
-    for u, v in p.fm.one_edges():
+    for u, v in f.one_edges():
         if g.row(u) & g.row(v) & v2_mask:
             prop_a = False
             break
 
-    prop_b = True
-    for u in p.v11:
-        for v in bits(g.row(u) & v11_mask):
-            if p.fm.weight_units(u, v):
-                prop_b = False
+    prop_b = not any(f.half_row(u) & v11_mask or f.partner(u) in p.v11 for u in p.v11)
 
-    full = p.fm.full_mask()
-    prop_c = all((full >> u) & 1 for u in p.v11)
+    prop_c = v11_mask & ~f.full_mask() == 0
 
     prop_d = all(g.row(v) & x_mask == 0 for v in p.x)
 

@@ -5,8 +5,9 @@ formulation (the deficiency witness recount, the exhaustive weight-assignment
 oracle, the vectorized whole-population evaluator) or against invariants
 that must hold on every input (canonical matching shape, partition
 properties, construction feasibility, seeded-stream determinism). The
-command line's selftest subcommand runs them all and fails on the first
-discrepancy, so a broken build cannot quietly produce sweep numbers.
+command line's selftest subcommand runs every suite, keeps every failure
+and exits 1 if any suite failed, so a broken build cannot quietly produce
+sweep numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .fm import (
     alpha2,
     berge_deficiency,
     canonical_fm,
-    deficiency_of,
     oracle_alpha_exhaustive,
 )
 from .generators import add_isolates, complete, cycle, disjoint_union, star
@@ -70,8 +70,8 @@ class SuiteResult:
 
 def run_oracle_suite(max_n: int = 5, oracle_edge_cap: int = 10) -> SuiteResult:
     """The value certified by the deficiency witness (berge_deficiency
-    checks it against its solve) against the witness recomputation, the
-    bulk array, and (on sparse graphs) the exhaustive assignment oracle."""
+    recounts it against its solve) against the bulk array and (on sparse
+    graphs) the exhaustive assignment oracle."""
     checked = 0
     failures: List[str] = []
     for n in range(max_n + 1):
@@ -81,8 +81,6 @@ def run_oracle_suite(max_n: int = 5, oracle_edge_cap: int = 10) -> SuiteResult:
             key = emit_graph6(g)
             w = berge_deficiency(g)
             a2 = n - w.deficiency
-            if deficiency_of(g, w.s_set) != w.deficiency:
-                failures.append(f"{key}: witness set does not reproduce deficiency")
             if int(table[mask]) != a2:
                 failures.append(f"{key}: bulk table says {int(table[mask])}, not {a2}")
             if g.edge_count() <= oracle_edge_cap:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fracmatch.errors import PreconditionError
+from fracmatch.errors import InternalInconsistencyError, PreconditionError
 from fracmatch.fm import (
     FractionalMatching,
     alpha2,
@@ -164,15 +164,17 @@ def test_fm_validation():
     assert f.load_units(0) == 2 and f.load_units(2) == 0
 
 
-def test_fm_masks_and_replace():
-    g = disjoint_union(cycle(3), complete(2))
-    f = FractionalMatching(g, {(0, 1): 1, (1, 2): 1, (0, 2): 1, (3, 4): 2})
-    assert f.full_mask() == 0b11000
-    assert f.half_mask() == 0b00111
-    assert f.unweighted_mask() == 0
-    f2 = f.replace({(3, 4): 0})
-    assert f2.value == HalfInt(3)
-    assert f2.unweighted_mask() == 0b11000
+def test_fm_derived_facts():
+    g = disjoint_union(cycle(3), complete(2), complete(1))
+    f = FractionalMatching(g, {(0, 1): 1, (1, 2): 1, (0, 2): 1, (4, 3): 2})
+    assert f.value == HalfInt(5)
+    assert f.full_mask() == 0b011000
+    assert f.half_mask() == 0b000111
+    assert f.support_mask() == 0b011111
+    assert f.unweighted_mask() == 0b100000
+    assert f.one_edges() == [(3, 4)]
+    assert [f.partner(v) for v in range(6)] == [-1, -1, -1, 4, 3, -1]
+    assert [f.half_row(v) for v in range(6)] == [0b110, 0b101, 0b011, 0, 0, 0]
 
 
 def test_half_support_components_orders():
@@ -182,6 +184,13 @@ def test_half_support_components_orders():
     )
     comps = f.half_support_components()
     assert comps == [("cycle", [0, 1, 2, 3, 4]), ("path", [5, 6, 7])]
+
+
+def test_half_path_starts_at_its_smaller_end():
+    # the smallest vertex 0 lies inside the path 3-1-2-0-4
+    g = Graph.from_edges(5, [(0, 2), (0, 4), (1, 2), (1, 3)])
+    f = FractionalMatching(g, {(0, 2): 1, (0, 4): 1, (1, 2): 1, (1, 3): 1})
+    assert f.half_support_components() == [("path", [3, 1, 2, 0, 4])]
 
 
 # ----------------------------------------------------------- canonical form
@@ -199,6 +208,13 @@ def test_canonicalize_even_path():
     f = FractionalMatching(g, {(0, 1): 1, (1, 2): 1})
     out = _canonicalize(f)
     assert out.items() == [((0, 1), 2)]
+
+
+def test_canonicalize_rejects_odd_path():
+    g = path(4)
+    f = FractionalMatching(g, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
+    with pytest.raises(InternalInconsistencyError, match="odd half-path"):
+        _canonicalize(f)
 
 
 def test_canonicalize_keeps_odd_cycles():

@@ -74,14 +74,10 @@ def test_isolated_vertices():
     assert g.isolated_vertices() == frozenset({2, 3, 4})
 
 
-def test_plus_edge_and_subgraph():
+def test_plus_edge():
     g = path(4)
     h = g.plus_edge(0, 3)
     assert h.adj(0, 3) and not g.adj(0, 3)
-    assert g.is_spanning_subgraph_of(h)
-    assert not h.is_spanning_subgraph_of(g)
-    with pytest.raises(ValueError):
-        g.is_spanning_subgraph_of(path(5))
 
 
 def test_bits_helper():

@@ -6,6 +6,7 @@ reads."""
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -68,36 +69,74 @@ def module_level_names(source: str) -> list:
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
-def referenced_names(source: str) -> set:
-    """Names read, imported or reached as attributes, plus identifier and
-    dotted-path string constants (the benchmark's tracer names its targets
-    that way). A definition is not a reference to itself."""
-    refs = set()
-    for node in ast.walk(ast.parse(source)):
+def reference_counts(tree: ast.AST) -> Counter:
+    """How often each name under tree is read, imported or reached as an
+    attribute, or named by an identifier or dotted-path string constant
+    (the benchmark's tracer names its targets that way). A definition is
+    not a reference to itself."""
+    refs = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            refs.add(node.id)
+            refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            refs[node.attr] += 1
         elif isinstance(node, ast.alias):
-            refs.add(node.name.split(".")[-1])
+            refs[node.name.split(".")[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if IDENTIFIER.match(node.value):
                 refs.update(node.value.split("."))
     return refs
 
 
+def referenced_names(source: str) -> set:
+    return set(reference_counts(ast.parse(source)))
+
+
+def class_members(tree: ast.Module) -> list:
+    """(class name, def) for each method and property of a module-level
+    class, dunders excluded."""
+    return [
+        (cls.name, node)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def unreferenced_members(package: dict, users: list) -> list:
+    """Methods and properties of the package's classes (package maps a
+    module stem to its tree) that no tree in users references outside
+    their own def."""
+    total = Counter()
+    for tree in users:
+        total.update(reference_counts(tree))
+    return [
+        f"{stem}.{cls}.{node.name}"
+        for stem, tree in package.items()
+        for cls, node in class_members(tree)
+        if total[node.name] <= reference_counts(node)[node.name]
+    ]
+
+
 def test_every_module_level_name_is_referenced():
+    """Every module-level name, and every method and property of a package
+    class, is referenced somewhere in the package, its tests or the
+    benchmark."""
+    users = [ast.parse(path.read_text()) for d in USER_DIRS for path in (REPO / d).rglob("*.py")]
     refs = set()
-    for d in USER_DIRS:
-        for path in (REPO / d).rglob("*.py"):
-            refs |= referenced_names(path.read_text())
+    for tree in users:
+        refs |= set(reference_counts(tree))
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     unreferenced = [
-        f"{path.stem}.{name}"
-        for path in sorted(SRC.glob("*.py"))
-        for name in module_level_names(path.read_text())
+        f"{stem}.{name}"
+        for stem, source in sources.items()
+        for name in module_level_names(source)
         if name not in refs
     ]
-    assert unreferenced == []
+    package = {stem: ast.parse(source) for stem, source in sources.items()}
+    assert unreferenced + unreferenced_members(package, users) == []
 
 
 def test_scan_sees_an_unreferenced_name():
@@ -109,6 +148,22 @@ def test_scan_sees_an_unreferenced_name():
     assert module_level_names(source) == ["used", "_helper", "LIMIT", "STALE"]
     unreferenced = set(module_level_names(source)) - referenced_names(source)
     assert sorted(unreferenced) == ["STALE", "_helper"]
+
+
+def test_scan_sees_an_unreferenced_method():
+    source = (
+        "class A:\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    @property\n    def named(self):\n        return 2\n\n"
+        "    def stale(self):\n        return self.stale()\n\n"
+        "    @property\n    def dead(self):\n        return 3\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "A().used()\n"
+    )
+    tree = ast.parse(source)
+    user = ast.parse("getattr(a, 'named')\n")
+    assert unreferenced_members({"m": tree}, [tree, user]) == ["m.A.stale", "m.A.dead"]
 
 
 def test_every_exported_name_resolves():

@@ -1,14 +1,16 @@
 """Good-partition construction and verification."""
 
+import hashlib
 import json
 
 import pytest
 
 from fracmatch import partition
 from fracmatch.errors import InternalInconsistencyError
-from fracmatch.fm import FractionalMatching, _canonicalize, alpha2
+from fracmatch.fm import FractionalMatching, _canonicalize, alpha2, berge_deficiency, canonical_fm
 from fracmatch.generators import add_isolates, complete, cycle, disjoint_union, k2pql, star
 from fracmatch.graph import Graph, bits
+from fracmatch.graph6 import parse_graph6
 from fracmatch.halfint import HalfInt
 from fracmatch.partition import (
     GoodPartition,
@@ -19,6 +21,7 @@ from fracmatch.partition import (
     partition_dump,
     verify_partition,
 )
+from fracmatch.selftest import branch_corpus, corpus_with_relabelings
 
 
 def all_graphs(n):
@@ -145,11 +148,25 @@ def test_canonicalize_rebuilds_even_half_cycle():
         pairing=((0, 4),),
     )
     check_partition_structure(g, p)
-    assert not verify_partition(g, p).all_ok()
+    assert verify_partition(g, p).failures() == ["v11_all_full"]
     rebuilt = _build_partition(g, _canonicalize(f))
     check_partition_structure(g, rebuilt)
     assert rebuilt.t == f.value
     assert verify_partition(g, rebuilt).all_ok()
+
+
+def test_property_b_sees_weight_inside_v11():
+    """Property (b) fails exactly when an edge inside v11 carries weight,
+    a 1-edge or a half-edge alike."""
+    g = disjoint_union(complete(2), cycle(3))
+    f = FractionalMatching(g, {(0, 1): 2, (2, 3): 1, (3, 4): 1, (2, 4): 1})
+    for v11, ok in (({0, 1}, False), ({2, 3}, False), ({0, 2}, True)):
+        p = GoodPartition(
+            v11=frozenset(v11), v12=frozenset(range(5)) - frozenset(v11),
+            v21=frozenset(), v22=frozenset(), x=frozenset(),
+            s=0, t=f.value, fm=f, pairing=(),
+        )
+        assert verify_partition(g, p).v11_internal_edges_unweighted is ok
 
 
 def test_failed_property_is_an_internal_error(monkeypatch):
@@ -163,3 +180,64 @@ def test_failed_property_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(partition, "verify_partition", lambda g, p: failing)
     with pytest.raises(InternalInconsistencyError, match="v11_all_full"):
         good_partition(star(8))
+
+
+# -------------------------------------------------------- chosen certificate
+# The shape checks pass on any valid optimum, so only these pins notice
+# when a different matching, pairing or witness is chosen. A change that
+# picks another one on purpose updates them and says so.
+
+
+def _doc(n, t, s, v11, v12, v21, v22, x, pairing, fm):
+    return json.dumps(
+        {"n": n, "t": t, "s": s, "v11": v11, "v12": v12, "v21": v21, "v22": v22,
+         "x": x, "pairing": pairing, "fm": fm},
+        indent=2,
+    )
+
+
+PARTITION_DOCS = [
+    # the extracted matching is an even half-cycle 0-2-1-3
+    pytest.param(
+        parse_graph6("C}"),
+        _doc(4, "2", 0, [], [0, 1, 2, 3], [], [], [], [], [[0, 2, 2], [1, 3, 2]]),
+        id="C}",
+    ),
+    # the extracted matching is an even half-path 3-1-2-0-4
+    pytest.param(
+        parse_graph6("Dy_"),
+        _doc(5, "2", 1, [0], [1, 2, 3], [4], [], [2], [[0, 4]], [[0, 2, 2], [1, 3, 2]]),
+        id="Dy_",
+    ),
+    pytest.param(
+        dict(branch_corpus())["nq_halfcycle_r1"],
+        _doc(
+            31, "17/2", 2, [5, 8],
+            [0, 1, 2, 3, 4, 6, 9, 11, 12, 13, 14, 15, 16, 17, 18],
+            [7, 10], list(range(19, 31)), [6, 9], [[5, 7], [8, 10]],
+            [[0, 1, 1], [0, 4, 1], [1, 2, 1], [2, 3, 1], [3, 4, 1], [5, 6, 2],
+             [8, 9, 2], [11, 12, 2], [13, 14, 2], [15, 16, 2], [17, 18, 2]],
+        ),
+        id="nq_halfcycle_r1",
+    ),
+]
+
+
+@pytest.mark.parametrize("g,doc", PARTITION_DOCS)
+def test_partition_dump_pinned(g, doc):
+    assert partition_dump(g, good_partition(g)) == doc
+
+
+CERTIFICATE_DIGEST = "781fe3103883bf3bcf40c187c22f30f54ab15e0db127ca3d2a6eb0ff7a16fdd7"
+
+
+def test_chosen_certificates_pinned():
+    """The canonical matching, the pairing and the Berge witness S on every
+    graph with n <= 5 and on the relabeled branch corpus."""
+    graphs = [g for n in range(6) for g in all_graphs(n)] + corpus_with_relabelings(copies=1)
+    digest = hashlib.sha256()
+    for g in graphs:
+        p = good_partition(g)
+        line = (canonical_fm(g).items(), p.pairing, sorted(berge_deficiency(g).s_set))
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == CERTIFICATE_DIGEST
