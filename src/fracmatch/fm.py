@@ -42,8 +42,9 @@ class FractionalMatching:
     """Half-integral edge weights on a host graph.
 
     Weights are stored sparsely as {(u,v): units} with u < v and
-    units in {1, 2}; absent edges carry 0. Construction validates that every
-    weighted pair is a host edge and every vertex load is at most 2 units.
+    units in {1, 2}; absent edges carry 0. Construction validates that no
+    edge is given twice (in either orientation), every weighted pair is a
+    host edge and every vertex load is at most 2 units.
     The same pass records every derived fact the certificate layer reads:
     the value, each vertex's load and weight-1 partner (-1 when it has
     none), the bit rows of the half-edge subgraph, and the full and half
@@ -59,9 +60,13 @@ class FractionalMatching:
         partners = [-1] * n
         half_rows = [0] * n
         full = half = 0
+        keys = set()
         for (u, v), units in weights.items():
             if u > v:
                 u, v = v, u
+            if (u, v) in keys:
+                raise ValueError(f"edge ({u},{v}) given twice")
+            keys.add((u, v))
             if units == 0:
                 continue
             if units not in (1, 2):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .families import FamilyLabel, classify_equality_family
+from .families import FamilyLabel, classify_equality_family, universal_vertex_count
 from .fm import FractionalMatching, alpha2
 from .graph import Graph, bits, mask_of
 from .graph6 import emit_graph6
@@ -221,15 +221,16 @@ def _finish(
     return f, CaseDescriptor(rule=rule, case=case, claimed=claimed)
 
 
-def applicable_rules(g: Graph, gc: Graph, p: GoodPartition) -> Tuple[str, ...]:
+def applicable_rules(g: Graph, p: GoodPartition) -> Tuple[str, ...]:
     """The construction rules whose preconditions hold, weakest first.
     Every rule needs n >= 2 and a support side of at most n/2 vertices
     (value at most n/4); plus_half also needs s >= 1 and both graphs
-    isolate-free; plus_one also needs s equal to the value with s >= 3."""
+    isolate-free (the complement's isolated vertices are g's universal
+    ones); plus_one also needs s equal to the value with s >= 3."""
     T2, s = p.t.units, p.s
     if g.n < 2 or 2 * T2 > g.n:
         return ()
-    if s < 1 or g.isolated_vertices() or gc.isolated_vertices():
+    if s < 1 or g.isolated_vertices() or universal_vertex_count(g):
         return ("base",)
     if T2 == 2 * s and s >= 3:
         return ("base", "plus_half", "plus_one")
@@ -250,8 +251,7 @@ def construct_complement_fm(
     partition without computing any complement matching. rule=None picks
     the strongest rule in applicable_rules, which holds the preconditions.
     """
-    gc = g.complement()
-    rules = applicable_rules(g, gc, p)
+    rules = applicable_rules(g, p)
     if not rules:
         if g.n < 2:
             raise PreconditionError("construction needs n >= 2")
@@ -260,12 +260,11 @@ def construct_complement_fm(
         )
     if rule is None:
         rule = rules[-1]
-    # near_quarter has its own entry point and gate
-    if rule == "near_quarter" or rule not in _RULES:
+    if rule not in _RULES:
         raise ValueError(f"unknown rule {rule!r}")
     if rule not in rules:
         raise PreconditionError(_UNMET[rule])
-    return _RULES[rule](g, gc, p)
+    return _RULES[rule](g, g.complement(), p)
 
 
 def _base_rule(g: Graph, gc: Graph, p: GoodPartition):
@@ -332,7 +331,7 @@ def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
     v12 = sorted(p.v12)
     v21 = sorted(p.v21)
     v22 = sorted(p.v22)
-    v2_mask = mask_of(p.unweighted_side)
+    v2_mask = p.fm.unweighted_mask()
     v11_mask = mask_of(v11)
     v12_mask = mask_of(v12)
     claimed = Fraction(n - s + 2, 2)
@@ -438,7 +437,7 @@ def construct_complement_fm_nearquarter(
         raise PreconditionError(
             f"near-quarter construction is stated for n >= {MIN_STATED_ORDER}, got {n}"
         )
-    return _RULES["near_quarter"](g, g.complement(), p)
+    return _near_quarter_rule(g, g.complement(), p)
 
 
 def _near_quarter_rule(g: Graph, gc: Graph, p: GoodPartition):
@@ -505,7 +504,6 @@ _RULES = {
     "base": _base_rule,
     "plus_half": _plus_half_rule,
     "plus_one": _plus_one_rule,
-    "near_quarter": _near_quarter_rule,
 }
 
 

@@ -1,13 +1,13 @@
-"""Support/unweighted vertex partition induced by a canonical optimal
-fractional matching, refined by a maximum matching between the two sides.
+"""The good partition: a canonical optimal fractional matching plus a
+maximum pairing between its support and its unweighted vertices.
 
-Parts: v11/v12 split the support side, v21/v22 the unweighted side;
-v11 and v21 are the endpoints of a maximum set of independent edges
-between the sides (the pairing), s its size, and x collects the 1-edge
-partners of v11 vertices. Five structural properties are verified on
-every constructed partition; their textbook exchange arguments all raise
-the matching value, so on a certified optimum a violation is an internal
-error, not a reachable state.
+Every part is read off those two. v11 and v21 are the left and right ends
+of the pairing, v12 is the rest of the support and v22 the rest of the
+unweighted side; s is the pairing's size, t the matching's value, and x
+collects the 1-edge partners of v11. Five structural properties are
+verified on every constructed partition; their textbook exchange
+arguments all raise the matching value, so on a certified optimum a
+violation is an internal error, not a reachable state.
 """
 
 from __future__ import annotations
@@ -20,22 +20,33 @@ from .bipartite import hopcroft_karp
 from .errors import InternalInconsistencyError
 from .fm import FractionalMatching, alpha2, canonical_fm  # alpha2: fmbench smoke test checks it
 from .graph import Graph, VertexSet, bits, mask_of
-from .halfint import HalfInt
 
 Pairing = Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class GoodPartition:
-    v11: VertexSet
-    v12: VertexSet
-    v21: VertexSet
-    v22: VertexSet
-    x: VertexSet
-    s: int
-    t: HalfInt
+    """A matching and a pairing of its support vertices with unweighted
+    ones. The parts v11, v12, v21, v22 and x (frozensets), s (an int) and
+    t (a HalfInt) are read off these two once, when the object is built."""
+
     fm: FractionalMatching
     pairing: Pairing
+
+    def __post_init__(self) -> None:
+        f = self.fm
+        v11 = frozenset(u for u, _ in self.pairing)
+        v21 = frozenset(w for _, w in self.pairing)
+        # A vertex without a 1-edge partner adds nothing to x.
+        self.__dict__.update(
+            v11=v11,
+            v12=frozenset(bits(f.support_mask())) - v11,
+            v21=v21,
+            v22=frozenset(bits(f.unweighted_mask())) - v21,
+            x=frozenset(f.partner(u) for u in v11) - {-1},
+            s=len(self.pairing),
+            t=f.value,
+        )
 
     @property
     def support_side(self) -> VertexSet:
@@ -57,87 +68,46 @@ class PropertyReport:
     no_edge_x_to_v2: bool
 
     def all_ok(self) -> bool:
-        return (
-            self.one_edge_no_common_v2_neighbor
-            and self.v11_internal_edges_unweighted
-            and self.v11_all_full
-            and self.x_independent
-            and self.no_edge_x_to_v2
-        )
+        return not self.failures()
 
     def failures(self) -> List[str]:
         return [name for name, ok in self.__dict__.items() if not ok]
 
 
 def check_partition_structure(g: Graph, p: GoodPartition) -> None:
-    """Raise ValueError unless p is structurally consistent with g."""
-    parts = [p.v11, p.v12, p.v21, p.v22]
-    if sum(map(len, parts)) != g.n or mask_of(frozenset().union(*parts)) != (1 << g.n) - 1:
-        raise ValueError("parts do not partition the vertex set")
-    if p.fm.host != g:
+    """Raise ValueError unless p's matching lives on g with a saturated
+    support and its pairing is a set of independent edges of g from the
+    support to the unweighted side. The parts are read off these two, so
+    they partition the vertex set by construction."""
+    f = p.fm
+    if f.host != g:
         raise ValueError("matching belongs to a different graph")
-    support = p.fm.support_mask()
-    if mask_of(p.v11 | p.v12) != support or mask_of(p.v21 | p.v22) != support ^ ((1 << g.n) - 1):
-        raise ValueError("sides do not match the matching's support")
-    if p.t != p.fm.value:
-        raise ValueError("t does not equal the matching value")
-    if len(p.v11 | p.v12) != p.t.units:
+    support, unweighted = f.support_mask(), f.unweighted_mask()
+    if support.bit_count() != p.t.units:
         raise ValueError("support side is not twice the matching value")
-    if not (len(p.v11) == len(p.v21) == len(p.x) == p.s == len(p.pairing)):
-        raise ValueError("pairing sizes disagree with s")
-    if not p.x <= p.v12:
-        raise ValueError("x is not contained in v12")
-    used = set()
+    used = 0
     for u, w in p.pairing:
-        if u not in p.v11 or w not in p.v21 or not g.adj(u, w):
-            raise ValueError(f"pairing edge ({u},{w}) is not a v11-v21 edge")
-        if u in used or w in used:
+        if not (support >> u & 1 and unweighted >> w & 1 and g.adj(u, w)):
+            raise ValueError(f"pairing edge ({u},{w}) is not a support-unweighted edge")
+        if used >> u & 1 or used >> w & 1:
             raise ValueError("pairing edges are not independent")
-        used.add(u)
-        used.add(w)
+        used |= 1 << u | 1 << w
 
 
 def _build_partition(g: Graph, f: FractionalMatching) -> GoodPartition:
-    v1 = sorted(bits(f.support_mask()))
+    v1 = list(bits(f.support_mask()))
     unweighted = f.unweighted_mask()
-    # Right indices are vertex ids; their ascending order fixes the pairing.
+    # Right indices are vertex ids; the ascending left order fixes the pairing.
     m = hopcroft_karp([g.row(u) & unweighted for u in v1], g.n)
-    pairing = tuple(
-        sorted((v1[i], m.pair_left[i]) for i in range(len(v1)) if m.pair_left[i] != -1)
-    )
-    v11 = frozenset(u for u, _ in pairing)
-    v21 = frozenset(w for _, w in pairing)
-    v12 = frozenset(v1) - v11
-    v22 = frozenset(bits(unweighted)) - v21
-
-    unfull = mask_of(v11) & ~f.full_mask()
-    if unfull:
-        raise InternalInconsistencyError(
-            f"paired vertex {next(bits(unfull))} has no weight-1 edge"
-        )
-    x = frozenset(f.partner(u) for u in v11)
-    if len(x) != m.size or not x <= v12:
-        raise InternalInconsistencyError("weight-1 partners of v11 do not land in v12")
-
-    return GoodPartition(
-        v11=v11,
-        v12=v12,
-        v21=v21,
-        v22=v22,
-        x=x,
-        s=m.size,
-        t=f.value,
-        fm=f,
-        pairing=pairing,
-    )
+    return GoodPartition(f, tuple((u, w) for u, w in zip(v1, m.pair_left) if w != -1))
 
 
 def verify_partition(g: Graph, p: GoodPartition) -> PropertyReport:
     """Check the five structural properties; returns a report, never raises."""
-    v2_mask = mask_of(p.v21 | p.v22)
+    f = p.fm
+    v2_mask = f.unweighted_mask()
     x_mask = mask_of(p.x)
     v11_mask = mask_of(p.v11)
-    f = p.fm
 
     prop_a = True
     for u, v in f.one_edges():

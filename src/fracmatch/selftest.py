@@ -13,7 +13,6 @@ sweep numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .bulk import bulk_alpha2
@@ -41,8 +40,8 @@ from .harness import (
 )
 from .ngbounds import (
     MIN_STATED_ORDER,
-    _RULES,
     applicable_rules,
+    construct_complement_fm,
     construct_complement_fm_nearquarter,
     nearquarter_window,
 )
@@ -170,7 +169,8 @@ def run_classifier_suite(max_n: int = 5) -> SuiteResult:
 def run_construction_suite(
     graphs: Iterable[Graph],
 ) -> Tuple[SuiteResult, Dict[Tuple[str, str], int]]:
-    """Probe every construction whose stated preconditions hold. Below
+    """Probe every construction whose stated preconditions hold, through
+    the public entry points and so through their gates. Below
     MIN_STATED_ORDER, errors count as probe misses (the recipes only promise
     themselves from that order up); at or above it they are failures.
     Returns the suite result and a (rule, case) coverage count."""
@@ -185,23 +185,23 @@ def run_construction_suite(
         except Exception as exc:
             failures.append(f"{key}: partition failed: {exc}")
             continue
-        gc = g.complement()
-        cap = alpha2(gc)
-        probes = list(applicable_rules(g, gc, p))
+        cap = alpha2(g.complement())
+        probes = list(applicable_rules(g, p))
         if p.t.units in nearquarter_window(n):
             probes.append("near_quarter")
         for rule in probes:
             checked += 1
             try:
-                f, case = _RULES[rule](g, gc, p)
+                if rule == "near_quarter":
+                    f, case = construct_complement_fm_nearquarter(g, p, require_order=False)
+                else:
+                    f, case = construct_complement_fm(g, p, rule)
             except (PreconditionError, InternalInconsistencyError) as exc:
                 if n >= MIN_STATED_ORDER:
                     failures.append(f"{key} {rule}: {exc}")
                 continue
             if f.value.units > cap:
                 failures.append(f"{key} {rule}: value {f.value} beats optimum")
-            if Fraction(f.value.units, 2) < case.claimed:
-                failures.append(f"{key} {rule}: value below claim {case.claimed}")
             coverage[(case.rule, case.case)] = coverage.get((case.rule, case.case), 0) + 1
     return SuiteResult("construction", checked, tuple(failures)), coverage
 

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
+from fracmatch import harness, ngbounds
 from fracmatch.cli import build_parser, load_graph, main
 from fracmatch.fm import alpha2
-from fracmatch.generators import add_isolates, complete, disjoint_union, k2pql, star
+from fracmatch.generators import add_isolates, complete, disjoint_union, empty_graph, k2pql, star
 from fracmatch.graph import Graph
 from fracmatch.graph6 import emit_edgelist, emit_graph6, parse_graph6
 from fracmatch.halfint import HalfInt
@@ -316,6 +317,56 @@ def test_sweep_unwritable_output_is_usage_error(capsys, tmp_path, monkeypatch, f
     code, _, err = run(capsys, "sweep", "--enumerate", "3", flag, str(target))
     assert code == 2
     assert err.startswith(f"error: cannot write {target}")
+
+
+def _sweep_outputs(capsys, tmp_path, *argv):
+    csv_path, json_path = tmp_path / "rows.csv", tmp_path / "stats.json"
+    code, _, _ = run(
+        capsys, "sweep", *argv, "--workers", "1", "--csv", str(csv_path), "--json", str(json_path)
+    )
+    rows = {line.split(",")[0]: line.split(",") for line in csv_path.read_text().splitlines()[1:]}
+    return code, rows, json.loads(json_path.read_text())
+
+
+def test_sweep_violation_exits_1(capsys, tmp_path, monkeypatch):
+    real = harness.bound_verdict
+
+    def violated_on_empty(which, n, a_g, a_gc, m_g, *rest):
+        v = real(which, n, a_g, a_gc, m_g, *rest)
+        return v._replace(satisfied=False) if m_g == 0 else v
+
+    monkeypatch.setattr(harness, "bound_verdict", violated_on_empty)
+    code, rows, stats = _sweep_outputs(capsys, tmp_path, "--enumerate", "3")
+    key = emit_graph6(empty_graph(3))
+    assert code == 1
+    assert stats["violations"] == [key]
+    assert rows[key][6] == "0"
+    assert all(row[6] == "1" for g6, row in rows.items() if g6 != key)
+
+
+def test_sweep_unmatched_equality_exits_1(capsys, tmp_path, monkeypatch):
+    code, rows, stats = _sweep_outputs(capsys, tmp_path, "--enumerate", "3")
+    assert code == 0
+    equalities = sorted(g6 for g6, row in rows.items() if row[7] == "1")
+    assert equalities == [emit_graph6(empty_graph(3)), emit_graph6(complete(3))]
+    assert stats["characterization_match"] == 2
+
+    monkeypatch.setattr(harness, "classify_equality_family", lambda g, which: None)
+    code, rows, stats = _sweep_outputs(capsys, tmp_path, "--enumerate", "3")
+    assert code == 1
+    assert stats["unmatched_equalities"] == equalities
+    assert stats["violations"] == []
+    assert all(rows[g6][8] == "" for g6 in equalities)
+
+
+def test_ngsum_violation_exits_1(capsys, monkeypatch):
+    real = ngbounds.bound_verdict
+    monkeypatch.setattr(
+        ngbounds, "bound_verdict", lambda *args: real(*args)._replace(satisfied=False)
+    )
+    code, out, _ = run(capsys, "ngsum", emit_graph6(star(29)))
+    assert code == 1
+    assert json.loads(out)["bounds"]["basic"]["satisfied"] is False
 
 
 def test_argparse_usage_exit():

@@ -158,6 +158,10 @@ def test_fm_validation():
         FractionalMatching(g, {(0, 1): 3})
     with pytest.raises(ValueError):
         FractionalMatching(g, {(0, 1): 2, (1, 2): 1})  # load 3 at vertex 1
+    with pytest.raises(ValueError, match=r"edge \(0,1\) given twice"):
+        FractionalMatching(complete(2), {(0, 1): 1, (1, 0): 1})
+    with pytest.raises(ValueError, match="given twice"):
+        FractionalMatching(g, {(2, 3): 0, (3, 2): 2})
     f = FractionalMatching(g, {(1, 0): 2, (2, 3): 0})
     assert f.items() == [((0, 1), 2)]
     assert f.value == HalfInt(2)

@@ -1,5 +1,6 @@
 """Good-partition construction and verification."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -104,26 +105,33 @@ def test_dump_roundtrip():
 
 
 def test_structure_check_rejects_bad_fields():
+    """Hand-built (matching, pairing) pairs on star(8) that the structure
+    check refuses, each with its own message."""
     g = star(8)
-    p = good_partition(g)
-    bad_x = GoodPartition(
-        v11=p.v11, v12=p.v12, v21=p.v21, v22=p.v22,
-        x=frozenset({3}), s=p.s, t=p.t, fm=p.fm, pairing=p.pairing,
+    f = good_partition(g).fm
+    check_partition_structure(g, GoodPartition(f, ((0, 2),)))
+    tampered = [
+        (f, ((1, 2),), "not a support-unweighted edge"),  # a non-edge
+        (f, ((0, 2), (0, 3)), "not independent"),  # a shared vertex
+        (f, ((0, 1),), "not a support-unweighted edge"),  # right end in the support
+        (FractionalMatching(star(9), {(0, 1): 2}), ((0, 2),), "different graph"),
+        (FractionalMatching(g, {(0, 1): 1}), (), "not twice the matching value"),
+    ]
+    for matching, pairing, message in tampered:
+        with pytest.raises(ValueError, match=message):
+            check_partition_structure(g, GoodPartition(matching, pairing))
+
+
+def test_parts_are_read_off_matching_and_pairing():
+    g = star(8)
+    p = GoodPartition(FractionalMatching(g, {(0, 1): 2}), ((0, 2),))
+    assert [f.name for f in dataclasses.fields(p)] == ["fm", "pairing"]
+    assert p == good_partition(g)
+    assert (p.v11, p.v12, p.v21, p.v22, p.x) == (
+        frozenset({0}), frozenset({1}), frozenset({2}), frozenset(range(3, 8)), frozenset({1}),
     )
-    with pytest.raises(ValueError):
-        check_partition_structure(g, bad_x)
-    bad_t = GoodPartition(
-        v11=p.v11, v12=p.v12, v21=p.v21, v22=p.v22,
-        x=p.x, s=p.s, t=HalfInt(4), fm=p.fm, pairing=p.pairing,
-    )
-    with pytest.raises(ValueError):
-        check_partition_structure(g, bad_t)
-    overlapping = GoodPartition(
-        v11=p.v11, v12=p.v12 | p.v11, v21=p.v21, v22=p.v22,
-        x=p.x, s=p.s, t=p.t, fm=p.fm, pairing=p.pairing,
-    )
-    with pytest.raises(ValueError):
-        check_partition_structure(g, overlapping)
+    assert {type(part) for part in (p.v11, p.v12, p.v21, p.v22, p.x)} == {frozenset}
+    assert (p.s, p.t) == (1, HalfInt(2))
 
 
 # ------------------------------------------------------- optimum invariants
@@ -136,18 +144,10 @@ def test_canonicalize_rebuilds_even_half_cycle():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
     f = FractionalMatching(g, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
     assert f.value.units == alpha2(g)
-    p = GoodPartition(
-        v11=frozenset({0}),
-        v12=frozenset({1, 2, 3}),
-        v21=frozenset({4}),
-        v22=frozenset(),
-        x=frozenset({2}),
-        s=1,
-        t=HalfInt(4),
-        fm=f,
-        pairing=((0, 4),),
-    )
+    p = GoodPartition(f, ((0, 4),))
     check_partition_structure(g, p)
+    # the paired vertex 0 has no 1-edge partner, so x is empty
+    assert (p.v11, p.v12, p.x) == (frozenset({0}), frozenset({1, 2, 3}), frozenset())
     assert verify_partition(g, p).failures() == ["v11_all_full"]
     rebuilt = _build_partition(g, _canonicalize(f))
     check_partition_structure(g, rebuilt)
@@ -158,15 +158,22 @@ def test_canonicalize_rebuilds_even_half_cycle():
 def test_property_b_sees_weight_inside_v11():
     """Property (b) fails exactly when an edge inside v11 carries weight,
     a 1-edge or a half-edge alike."""
-    g = disjoint_union(complete(2), cycle(3))
+    # K2 on 0, 1 and a triangle on 2, 3, 4; the unweighted 5 and 6 see all five
+    edges = [(0, 1), (2, 3), (3, 4), (2, 4)] + [(u, w) for u in range(5) for w in (5, 6)]
+    g = Graph.from_edges(7, edges)
     f = FractionalMatching(g, {(0, 1): 2, (2, 3): 1, (3, 4): 1, (2, 4): 1})
-    for v11, ok in (({0, 1}, False), ({2, 3}, False), ({0, 2}, True)):
-        p = GoodPartition(
-            v11=frozenset(v11), v12=frozenset(range(5)) - frozenset(v11),
-            v21=frozenset(), v22=frozenset(), x=frozenset(),
-            s=0, t=f.value, fm=f, pairing=(),
-        )
+    for (a, b), ok in (((0, 1), False), ((2, 3), False), ((0, 2), True)):
+        p = GoodPartition(f, ((a, 5), (b, 6)))
+        check_partition_structure(g, p)
+        assert p.v11 == {a, b}
         assert verify_partition(g, p).v11_internal_edges_unweighted is ok
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PropertyReport)])
+def test_report_fails_on_each_property(name):
+    report = PropertyReport(**{f.name: f.name != name for f in dataclasses.fields(PropertyReport)})
+    assert report.failures() == [name]
+    assert not report.all_ok()
 
 
 def test_failed_property_is_an_internal_error(monkeypatch):
