@@ -11,28 +11,21 @@ failure was found, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
+from .bounds import BOUND_NAMES, CSV_HEADER, MIN_STATED_ORDER
 from .errors import GraphFormatError, InternalInconsistencyError, PreconditionError
-from .families import FamilyLabel, classify_small_alpha, small_alpha_ng
-from .fm import alpha2, alpha_prime
 from .graph import Graph
 from .graph6 import emit_graph6, parse_edgelist, parse_graph6
-from .halfint import half_text
-from .harness import SampleSpec, run_sweep
-from .ngbounds import (
-    BOUND_NAMES,
-    CSV_HEADER,
-    MIN_STATED_ORDER,
-    construct_complement_fm,
-    construct_complement_fm_nearquarter,
-    ng_sum,
-)
-from .partition import good_partition, partition_dump
-from .selftest import run_all
+
+if TYPE_CHECKING:
+    from .families import FamilyLabel
+
+# Each command imports its own modules, so a sweep loads no certificate layer.
 
 # Failure lines printed per selftest suite; its summary line counts them all.
 MAX_PRINTED_FAILURES = 20
@@ -77,6 +70,8 @@ def _emit(obj) -> None:
 
 
 def cmd_alpha(args) -> int:
+    from .fm import alpha2
+
     g = load_graph(args.graph)
     a2 = alpha2(g)
     print(f"2a'={a2} ({a2 / 2:g})")
@@ -84,12 +79,17 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    from .partition import good_partition, partition_dump
+
     g = load_graph(args.graph)
     print(partition_dump(g, good_partition(g)))
     return 0
 
 
 def cmd_classify(args) -> int:
+    from .families import classify_small_alpha, small_alpha_ng
+    from .fm import alpha_prime
+
     g = load_graph(args.graph)
     label = classify_small_alpha(g)
     out = {
@@ -112,6 +112,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ngsum(args) -> int:
+    from .halfint import half_text
+    from .ngbounds import ng_sum
+
     g = load_graph(args.graph)
     report = ng_sum(g)
     hyp = report.hypotheses
@@ -145,6 +148,9 @@ def cmd_ngsum(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .ngbounds import construct_complement_fm, construct_complement_fm_nearquarter
+    from .partition import good_partition
+
     g = load_graph(args.graph)
     p = good_partition(g)
     try:
@@ -177,23 +183,32 @@ def cmd_construct(args) -> int:
 
 def _open_out(path: str, mode: str = "w"):
     if path == "-":
-        return sys.stdout, False
+        return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, mode, encoding="ascii"), True
+        return open(path, mode, encoding="ascii")
     except OSError as exc:
         raise SystemExit2(f"cannot write {path}: {exc}")
 
 
+def _write_lines(path: str, *blocks: Iterable[str]) -> None:
+    with _open_out(path) as out:
+        out.writelines(f"{line}\n" for block in blocks for line in block)
+
+
 def cmd_sweep(args) -> int:
+    from .harness import SampleSpec, run_sweep
+
     if (args.enumerate is None) == (args.sample is None):
         raise SystemExit2("exactly one of --enumerate and --sample is required")
+    outputs = [os.path.realpath(p) for p in (args.csv, args.json) if p not in (None, "-")]
+    if len(outputs) == 2 and outputs[0] == outputs[1]:
+        raise SystemExit2(f"--csv and --json both name {args.json}")
     # Fail on an unwritable output before the sweep runs. Append mode leaves
     # an existing file as it is until the sweep has succeeded.
     for path in (args.csv, args.json):
         if path is not None:
-            out, close = _open_out(path, "a")
-            if close:
-                out.close()
+            with _open_out(path, "a"):
+                pass
     if args.sample is not None:
         try:
             spec = SampleSpec.parse(args.sample)
@@ -207,27 +222,19 @@ def cmd_sweep(args) -> int:
             allow_large=args.allow_large,
             workers=args.workers,
         )
-    wrote = False
+    stats_text = json.dumps(stats.to_json(), indent=2)
     if args.csv is not None:
-        out, close = _open_out(args.csv)
-        print(CSV_HEADER, file=out)
-        for row in rows:
-            print(row, file=out)
-        if close:
-            out.close()
-        wrote = True
+        _write_lines(args.csv, [CSV_HEADER], rows)
     if args.json is not None:
-        out, close = _open_out(args.json)
-        print(json.dumps(stats.to_json(), indent=2), file=out)
-        if close:
-            out.close()
-        wrote = True
-    if not wrote:
-        print(json.dumps(stats.to_json(), indent=2))
+        _write_lines(args.json, [stats_text])
+    if args.csv is None and args.json is None:
+        print(stats_text)
     return 1 if stats.violations or stats.unmatched_equalities else 0
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_all
+
     results = run_all(quick=not args.full)
     bad = False
     for result in results:

@@ -16,7 +16,7 @@ population.
 
 A sweep also takes each batch's complement rows, edge counts and
 isolate-free flags from those arrays. Its per-graph loop is then two
-hopcroft_karp solves on int rows, one verdict from ngbounds.bound_verdict
+hopcroft_karp solves on int rows, one verdict from bounds.bound_verdict
 and one CSV row; a Graph is built only when an equality needs
 classifying. An enumeration holds every complement too, so it runs over
 the masks whose top slot bit is clear and reads two rows, the graph's and
@@ -28,22 +28,21 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .bipartite import hopcroft_karp
+from .bounds import SweepStats, _sweep_pairs, bound_verdict, check_sum_order, empty_stats
 from .errors import PreconditionError
-from .families import classify_equality_family
 from .graph import Graph, edge_slots
 from .graph6 import _header
-from .ngbounds import (
-    SweepRecord, SweepStats, _sweep_pairs, bound_verdict, check_sum_order, empty_stats,
-)
+
+if TYPE_CHECKING:
+    from .bounds import SweepRecord
 
 GOLDEN = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
@@ -221,7 +220,13 @@ class SampleSpec:
         if len(parts) != 4:
             raise ValueError(f"expected n,p,count,seed, got {text!r}")
         n, p, count, seed = parts
-        frac = Fraction(p.strip())
+        p = p.strip()
+        try:
+            frac = Fraction(p)
+        except ZeroDivisionError:
+            raise ValueError(f"edge probability {p!r} has a zero denominator") from None
+        if not 0 <= frac <= 1:
+            raise ValueError(f"edge probability {p!r} outside [0, 1]")
         return cls(
             n=int(n), p_num=frac.numerator, p_den=frac.denominator,
             count=int(count), seed=int(seed, 0),
@@ -301,6 +306,14 @@ def plan_sweep(total: int, requested: int, cpus: int) -> Tuple[int, List[Tuple[i
     return max(1, min(workers, len(ranges))), ranges
 
 
+def _equality_label(n: int, rows: List[int], which: str):
+    # Imported at the first equality, not at start-up: sampled sweeps almost
+    # never meet one (0 of 18,000 sparse30 graphs did).
+    from .families import classify_equality_family
+
+    return classify_equality_family(Graph(n, rows), which)
+
+
 def _sweep_records(n: int, bits: np.ndarray, which: str, paired: bool) -> Iterator[SweepRecord]:
     """The sweep kernel: one SweepRecord per row of bits, or with paired
     two, the second for the complement (its slot bits are the row's,
@@ -323,11 +336,11 @@ def _sweep_records(n: int, bits: np.ndarray, which: str, paired: bool) -> Iterat
         a_g = hopcroft_karp(rows, n).size
         a_gc = hopcroft_karp(c_rows, n).size
         v = bound_verdict(which, n, a_g, a_gc, m, slots - m, g_free[i], gc_free[i])
-        label = classify_equality_family(Graph(n, rows), which) if v.equality else None
+        label = _equality_label(n, rows, which) if v.equality else None
         yield key, n, a_g, a_gc, v, label
         if paired:
             v = bound_verdict(which, n, a_gc, a_g, slots - m, m, gc_free[i], g_free[i])
-            label = classify_equality_family(Graph(n, c_rows), which) if v.equality else None
+            label = _equality_label(n, c_rows, which) if v.equality else None
             yield gc_keys[i], n, a_gc, a_g, v, label
 
 
@@ -372,6 +385,8 @@ def run_sweep(
     if workers == 1:
         results = map(_sweep_task, tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             results = list(pool.map(_sweep_task, tasks))

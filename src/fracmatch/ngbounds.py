@@ -1,5 +1,6 @@
-"""Complement-sum bounds: exact sums, per-theorem reports, constructive
-complement matchings witnessing the lower bounds, and sweep aggregation.
+"""Complement-sum bounds on graphs: exact sums and per-theorem reports,
+constructive complement matchings witnessing the lower bounds, and the
+scalar reference sweep. The verdicts and the aggregation are in bounds.
 
 The constructions never compute a matching on the complement, in any
 branch; they place weights edge by edge using only facts guaranteed by the
@@ -16,27 +17,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .bounds import (
+    BOUND_NAMES, MIN_STATED_ORDER, SweepStats, Verdict, _sweep_pairs, bound_verdict,
+)
 from .errors import InternalInconsistencyError, PreconditionError
 from .families import FamilyLabel, classify_equality_family, universal_vertex_count
 from .fm import FractionalMatching, alpha2
 from .graph import Graph, bits, mask_of
 from .graph6 import emit_graph6
-from .halfint import HalfInt, half_text
+from .halfint import HalfInt
 from .partition import GoodPartition
 
+if TYPE_CHECKING:
+    from .bounds import SweepRecord
+
 Edge = Tuple[int, int]
-
-BOUND_NAMES = ("basic", "nonempty", "isolate_free")
-
-# Smallest order at which the two stronger bounds and the near-quarter
-# construction are stated to hold.
-MIN_STATED_ORDER = 28
-
-
-# Each bound's value in half-units is n plus this offset.
-_BOUND_OFFSET = {"basic": 0, "nonempty": 1, "isolate_free": 4}
 
 
 @dataclass(frozen=True)
@@ -46,43 +43,6 @@ class Hypotheses:
     g_isolate_free: bool
     gc_isolate_free: bool
     n_at_least_28: bool
-
-
-class Verdict(NamedTuple):
-    """One bound on one graph; bound is in half-units."""
-
-    applies: bool
-    bound: int
-    satisfied: bool
-    equality: bool
-
-
-def check_sum_order(n: int) -> None:
-    """The sum bounds speak of a graph and its complement on n >= 2
-    vertices."""
-    if n < 2:
-        raise PreconditionError(f"sum bounds need n >= 2, got {n}")
-
-
-def bound_verdict(
-    which: str, n: int, a_g: int, a_gc: int, m_g: int, m_gc: int,
-    g_isolate_free: bool, gc_isolate_free: bool,
-) -> Verdict:
-    """The named bound on a graph of order n whose graph and complement
-    have doubled matching numbers a_g, a_gc and edge counts m_g, m_gc.
-    The two stronger bounds apply only from MIN_STATED_ORDER on."""
-    check_sum_order(n)
-    if which == "basic":
-        applies = True
-    elif which == "nonempty":
-        applies = n >= MIN_STATED_ORDER and m_g > 0 and m_gc > 0
-    elif which == "isolate_free":
-        applies = n >= MIN_STATED_ORDER and g_isolate_free and gc_isolate_free
-    else:
-        raise ValueError(f"unknown bound name {which!r}")
-    bound = n + _BOUND_OFFSET[which]
-    total = a_g + a_gc
-    return Verdict(applies, bound, total >= bound, total == bound)
 
 
 @dataclass(frozen=True)
@@ -508,59 +468,7 @@ _RULES = {
 
 
 # ---------------------------------------------------------------------------
-# Sweep aggregation.
-
-
-@dataclass(frozen=True)
-class SweepStats:
-    which: str
-    total: int
-    applies: int
-    satisfied: int
-    equality: int
-    characterization_match: int
-    violations: Tuple[str, ...]
-    unmatched_equalities: Tuple[str, ...]
-
-    def merge(self, other: "SweepStats") -> "SweepStats":
-        if self.which != other.which:
-            raise ValueError("cannot merge sweeps of different bounds")
-        return SweepStats(
-            which=self.which,
-            total=self.total + other.total,
-            applies=self.applies + other.applies,
-            satisfied=self.satisfied + other.satisfied,
-            equality=self.equality + other.equality,
-            characterization_match=self.characterization_match + other.characterization_match,
-            violations=tuple(sorted(set(self.violations) | set(other.violations))),
-            unmatched_equalities=tuple(
-                sorted(set(self.unmatched_equalities) | set(other.unmatched_equalities))
-            ),
-        )
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "bound": self.which,
-            "total": self.total,
-            "applies": self.applies,
-            "satisfied": self.satisfied,
-            "equality": self.equality,
-            "characterization_match": self.characterization_match,
-            "violations": list(self.violations),
-            "unmatched_equalities": list(self.unmatched_equalities),
-        }
-
-
-CSV_HEADER = "graph6,n,alpha_g,alpha_gc,sum,bound,satisfied,equality,family"
-
-
-def empty_stats(which: str) -> SweepStats:
-    return SweepStats(which, 0, 0, 0, 0, 0, (), ())
-
-
-# A solved sweep graph: graph6 key, n, alpha2(G), alpha2(Gc), the verdict
-# of the swept bound, and the equality family label (None without one).
-SweepRecord = Tuple[str, int, int, int, Verdict, Optional[FamilyLabel]]
+# The scalar reference sweep.
 
 
 def sweep_with_rows(
@@ -585,45 +493,3 @@ def sweep_with_rows(
 
     return _sweep_pairs(records(), which)
 
-
-def _sweep_pairs(
-    records: Iterable[SweepRecord], which: str
-) -> Tuple[SweepStats, List[str]]:
-    """Counts, violations, unmatched equalities and CSV rows of a stream
-    of solved graphs."""
-    if which not in BOUND_NAMES:
-        raise ValueError(f"unknown bound name {which!r}")
-    total = applies = satisfied = equality = char_match = 0
-    violations: List[str] = []
-    unmatched: List[str] = []
-    rows: List[str] = []
-    for g6, n, a_g, a_gc, v, label in records:
-        total += 1
-        family = "" if label is None else label.tag.value
-        if v.applies:
-            applies += 1
-            if v.satisfied:
-                satisfied += 1
-            else:
-                violations.append(g6)
-            if v.equality:
-                equality += 1
-                if family:
-                    char_match += 1
-                else:
-                    unmatched.append(g6)
-        rows.append(
-            f"{g6},{n},{half_text(a_g)},{half_text(a_gc)},{half_text(a_g + a_gc)},"
-            f"{half_text(v.bound)},{int(v.satisfied)},{int(v.equality)},{family}"
-        )
-    stats = SweepStats(
-        which=which,
-        total=total,
-        applies=applies,
-        satisfied=satisfied,
-        equality=equality,
-        characterization_match=char_match,
-        violations=tuple(sorted(violations)),
-        unmatched_equalities=tuple(sorted(unmatched)),
-    )
-    return stats, rows

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .bounds import MIN_STATED_ORDER
 from .bulk import bulk_alpha2
 from .errors import InternalInconsistencyError, PreconditionError
 from .families import classify_small_alpha
@@ -39,7 +40,6 @@ from .harness import (
     splitmix64,
 )
 from .ngbounds import (
-    MIN_STATED_ORDER,
     applicable_rules,
     construct_complement_fm,
     construct_complement_fm_nearquarter,

@@ -41,7 +41,8 @@ from fracmatch.harness import (
     sample_graphs,
     sample_masks,
 )
-from fracmatch.ngbounds import CSV_HEADER, ng_sum
+from fracmatch.bounds import CSV_HEADER
+from fracmatch.ngbounds import ng_sum
 from fracmatch.selftest import (
     corpus_with_relabelings,
     expected_cases,

@@ -5,14 +5,14 @@ import json
 
 import pytest
 
-from fracmatch import harness, ngbounds
+from fracmatch import families, harness, ngbounds
 from fracmatch.cli import build_parser, load_graph, main
 from fracmatch.fm import alpha2
 from fracmatch.generators import add_isolates, complete, disjoint_union, empty_graph, k2pql, star
 from fracmatch.graph import Graph
 from fracmatch.graph6 import emit_edgelist, emit_graph6, parse_graph6
 from fracmatch.halfint import HalfInt
-from fracmatch.ngbounds import CSV_HEADER
+from fracmatch.bounds import CSV_HEADER
 
 
 def run(capsys, *argv):
@@ -312,11 +312,47 @@ def test_sweep_unwritable_output_is_usage_error(capsys, tmp_path, monkeypatch, f
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before its output path was checked")
 
-    monkeypatch.setattr("fracmatch.cli.run_sweep", no_sweep)
+    monkeypatch.setattr("fracmatch.harness.run_sweep", no_sweep)
     target = tmp_path / "missing" / "out"
     code, _, err = run(capsys, "sweep", "--enumerate", "3", flag, str(target))
     assert code == 2
     assert err.startswith(f"error: cannot write {target}")
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ("1/0", "edge probability '1/0' has a zero denominator"),
+        ("1e400", "edge probability '1e400' outside [0, 1]"),
+        ("-1/2", "edge probability '-1/2' outside [0, 1]"),
+    ],
+)
+def test_sweep_bad_probability_is_usage_error(capsys, p, message):
+    code, out, err = run(capsys, "sweep", "--sample", f"30,{p},3,1")
+    assert (code, out, err) == (2, "", f"error: bad --sample: {message}\n")
+
+
+@pytest.mark.parametrize("spelling", ["out", "sub/../out"])
+def test_sweep_csv_and_json_on_one_file_is_usage_error(capsys, tmp_path, monkeypatch, spelling):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before its outputs were checked")
+
+    monkeypatch.setattr("fracmatch.harness.run_sweep", no_sweep)
+    (tmp_path / "sub").mkdir()
+    csv_path, json_path = tmp_path / "out", tmp_path / spelling
+    code, _, err = run(
+        capsys, "sweep", "--enumerate", "3", "--csv", str(csv_path), "--json", str(json_path)
+    )
+    assert code == 2
+    assert err == f"error: --csv and --json both name {json_path}\n"
+    assert not csv_path.exists()
+
+
+def test_sweep_csv_and_json_may_both_go_to_stdout(capsys):
+    code, out, _ = run(capsys, "sweep", "--enumerate", "3", "--csv", "-", "--json", "-")
+    assert code == 0
+    assert out.startswith(CSV_HEADER + "\n")
+    assert json.loads(out[out.index("{"):])["total"] == 8
 
 
 def _sweep_outputs(capsys, tmp_path, *argv):
@@ -351,7 +387,7 @@ def test_sweep_unmatched_equality_exits_1(capsys, tmp_path, monkeypatch):
     assert equalities == [emit_graph6(empty_graph(3)), emit_graph6(complete(3))]
     assert stats["characterization_match"] == 2
 
-    monkeypatch.setattr(harness, "classify_equality_family", lambda g, which: None)
+    monkeypatch.setattr(families, "classify_equality_family", lambda g, which: None)
     code, rows, stats = _sweep_outputs(capsys, tmp_path, "--enumerate", "3")
     assert code == 1
     assert stats["unmatched_equalities"] == equalities

@@ -8,15 +8,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fracmatch import harness, ngbounds
+from fracmatch import families, harness, ngbounds
 from fracmatch.bipartite import hopcroft_karp
+from fracmatch.bounds import BOUND_NAMES, empty_stats
 from fracmatch.bulk import bulk_alpha2
 from fracmatch.errors import PreconditionError
 from fracmatch.fm import alpha2
 from fracmatch.generators import complete, disjoint_union, empty_graph, k2pql, star
 from fracmatch.graph import Graph
 from fracmatch.graph6 import emit_graph6
-from fracmatch.ngbounds import BOUND_NAMES, empty_stats, sweep_with_rows
+from fracmatch.ngbounds import sweep_with_rows
 from fracmatch.harness import (
     _BATCH,
     GOLDEN,
@@ -254,7 +255,7 @@ def test_kernel_matches_scalar_on_equalities(which):
 
 def test_kernel_matches_scalar_on_unmatched(monkeypatch):
     # with no family recognised, every applicable equality is unmatched
-    monkeypatch.setattr(harness, "classify_equality_family", lambda g, which: None)
+    monkeypatch.setattr(families, "classify_equality_family", lambda g, which: None)
     monkeypatch.setattr(ngbounds, "classify_equality_family", lambda g, which: None)
     unmatched = 0
     for which in BOUND_NAMES:
@@ -313,7 +314,7 @@ def test_paired_kernel_matches_unpaired_on_equalities(which):
 
 
 def test_paired_kernel_matches_unpaired_on_unmatched(monkeypatch):
-    monkeypatch.setattr(harness, "classify_equality_family", lambda g, which: None)
+    monkeypatch.setattr(families, "classify_equality_family", lambda g, which: None)
     unmatched = 0
     for which in BOUND_NAMES:
         for n, masks in equality_rich_masks():

@@ -1,11 +1,17 @@
 """The package's modules import only names they use, every module-level
 name they define is used somewhere, every name the package exports at
 the top level resolves, and so does every package name the benchmark
-reads."""
+reads. A fresh process loads only what it runs: a sweep loads neither
+the certificate layers nor the process pool, and the benchmark's child
+still loads every module its tracer wraps."""
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -257,3 +263,92 @@ def test_benchmark_identity_bindings():
 
     assert fm.alpha2 is ngbounds.alpha2 is partition.alpha2
     assert fm.hopcroft_karp is partition.hopcroft_karp
+
+
+# ---------------------------------------------------------------------------
+# What a fresh process loads.
+
+# Modules a 1-worker sweep does not run, so must not load.
+SWEEP_DEFERRED = (
+    "concurrent.futures",
+    "fracmatch.selftest",
+    "fracmatch.partition",
+    "fracmatch.fm",
+    "fracmatch.families",
+    "fracmatch.ngbounds",
+)
+
+
+def fresh(code: str):
+    """Run code in a fresh interpreter that imports this package; the
+    last line it prints is read as JSON."""
+    path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_sweep_loads_only_the_sweep_path(tmp_path):
+    argv = ["sweep", "--sample", "30,1/10,200,1", "--bound", "nonempty",
+            "--csv", str(tmp_path / "rows.csv")]
+    rc, loaded = fresh(
+        "import json, sys\n"
+        "from fracmatch.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))\n"
+    )
+    assert rc == 0
+    assert len((tmp_path / "rows.csv").read_text().splitlines()) == 201
+    assert [name for name in SWEEP_DEFERRED if name in loaded] == []
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = fresh(
+        "import json, sys\n"
+        "import fracmatch\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fracmatch.'))))\n"
+    )
+    assert loaded == []
+
+
+def test_every_export_resolves_and_is_listed_from_a_fresh_import():
+    rows = fresh(
+        "import json, sys\n"
+        "import fracmatch\n"
+        "listed = dir(fracmatch)\n"
+        "print(json.dumps([\n"
+        "    [name, getattr(fracmatch, name).__module__, name in listed]\n"
+        "    for name in fracmatch.__all__ if name != '__version__'\n"
+        "]))\n"
+    )
+    assert [name for name, _, _ in rows] == [n for n in fracmatch.__all__ if n != "__version__"]
+    assert [name for name, _, listed in rows if not listed] == []
+    for name, module, _ in rows:
+        assert getattr(importlib.import_module(module), name) is getattr(fracmatch, name)
+    assert "__version__" in dir(fracmatch)
+    with pytest.raises(AttributeError):
+        fracmatch.no_such_name
+
+
+def test_benchmark_child_loads_every_traced_module():
+    # The tracer rebinds its targets only in modules already loaded when it
+    # installs, and `import fracmatch` loads none; so the child's own import
+    # line must load every module the tracer wraps that the package has.
+    bench = REPO / "fmbench"
+    line = next(
+        node for node in ast.parse((bench / "child.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.module == "fracmatch"
+    )
+    targets = next(
+        node.value for node in ast.parse((bench / "tracer.py").read_text()).body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "TARGETS"
+    )
+    traced = {module for _, module, _ in ast.literal_eval(targets)}
+    present = {m for m in traced if (SRC / f"{m.rpartition('.')[2]}.py").exists()}
+    assert "fracmatch.harness" in present and "fracmatch.bulk" in present
+    loaded = fresh(f"import json, sys\n{ast.unparse(line)}\nprint(json.dumps(sorted(sys.modules)))\n")
+    assert sorted(present - set(loaded)) == []

@@ -15,6 +15,14 @@ from fracmatch import (
     ng_sum,
     sweep_with_rows,
 )
+from fracmatch.bounds import (
+    BOUND_NAMES,
+    CSV_HEADER,
+    MIN_STATED_ORDER,
+    Verdict,
+    bound_verdict,
+    empty_stats,
+)
 from fracmatch.families import FamilyTag
 from fracmatch.fm import alpha2
 from fracmatch.generators import (
@@ -27,16 +35,7 @@ from fracmatch.generators import (
     star,
 )
 from fracmatch.graph import Graph
-from fracmatch.ngbounds import (
-    BOUND_NAMES,
-    CSV_HEADER,
-    MIN_STATED_ORDER,
-    Verdict,
-    applicable_rules,
-    bound_verdict,
-    empty_stats,
-    nearquarter_window,
-)
+from fracmatch.ngbounds import applicable_rules, nearquarter_window
 from fracmatch.selftest import branch_corpus, corpus_with_relabelings
 
 

@@ -5,11 +5,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracmatch.bounds import BOUND_NAMES
 from fracmatch.fm import alpha2
 from fracmatch.graph import Graph
 from fracmatch.graph6 import emit_graph6
 from fracmatch.harness import _batch_keys, _batch_rows, _sweep_task
-from fracmatch.ngbounds import BOUND_NAMES, sweep_with_rows
+from fracmatch.ngbounds import sweep_with_rows
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 

@@ -73,7 +73,7 @@ def test_every_failure_is_counted_and_the_printout_is_capped(monkeypatch, capsys
     assert len(result.failures) == 25
     assert result.describe() == "partition: 25 checks, FAILED (25 failures)"
 
-    monkeypatch.setattr(cli, "run_all", lambda quick: [result])
+    monkeypatch.setattr(selftest, "run_all", lambda quick: [result])
     assert cli.main(["selftest"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == result.describe()
