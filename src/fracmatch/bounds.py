@@ -1,22 +1,18 @@
-"""The complement-sum bounds as a sweep runs them: each bound's verdict
-from doubled matching numbers, edge counts and isolate-free flags, and
-the counts and CSV rows of a stream of solved graphs. It needs no graph,
-matching or family code, so a sweep does not load those layers."""
+"""The complement-sum bounds as a sweep runs them, per graph or per batch
+in columns: each bound's verdict from doubled matching numbers, edge
+counts and isolate-free flags, and the counts and CSV rows of a solved
+batch. It needs no graph, matching or family code, and no numpy."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .halfint import half_text
 
 if TYPE_CHECKING:
     from .families import FamilyLabel
-
-    # A solved sweep graph: graph6 key, n, alpha2(G), alpha2(Gc), the verdict
-    # of the swept bound, and the equality family label (None without one).
-    SweepRecord = Tuple[str, int, int, int, "Verdict", Optional[FamilyLabel]]
 
 BOUND_NAMES = ("basic", "nonempty", "isolate_free")
 
@@ -50,14 +46,16 @@ def bound_verdict(
 ) -> Verdict:
     """The named bound on a graph of order n whose graph and complement
     have doubled matching numbers a_g, a_gc and edge counts m_g, m_gc.
-    The two stronger bounds apply only from MIN_STATED_ORDER on."""
+    The two stronger bounds apply only from MIN_STATED_ORDER on. Given
+    numpy columns, it gives columns, bar bound and basic's applies."""
     check_sum_order(n)
+    big = n >= MIN_STATED_ORDER
     if which == "basic":
         applies = True
     elif which == "nonempty":
-        applies = n >= MIN_STATED_ORDER and m_g > 0 and m_gc > 0
+        applies = big & (m_g > 0) & (m_gc > 0)
     elif which == "isolate_free":
-        applies = n >= MIN_STATED_ORDER and g_isolate_free and gc_isolate_free
+        applies = big & g_isolate_free & gc_isolate_free
     else:
         raise ValueError(f"unknown bound name {which!r}")
     bound = n + _BOUND_OFFSET[which]
@@ -109,47 +107,46 @@ CSV_HEADER = "graph6,n,alpha_g,alpha_gc,sum,bound,satisfied,equality,family"
 
 
 def empty_stats(which: str) -> SweepStats:
+    if which not in BOUND_NAMES:
+        raise ValueError(f"unknown bound name {which!r}")
     return SweepStats(which, 0, 0, 0, 0, 0, (), ())
 
 
-def _sweep_pairs(
-    records: Iterable[SweepRecord], which: str
+def _row_tail(n: int, bound: int, a_g: int, a_gc: int, satisfied: bool, equality: bool) -> str:
+    return (
+        f",{n},{half_text(a_g)},{half_text(a_gc)},{half_text(a_g + a_gc)},"
+        f"{half_text(bound)},{int(satisfied)},{int(equality)},"
+    )
+
+
+def tally(
+    which: str, n: int, keys: Sequence[str], a_g: List[int], a_gc: List[int], v: Verdict,
+    label_of: Callable[[int], Optional[FamilyLabel]], tails: Dict[tuple, str],
 ) -> Tuple[SweepStats, List[str]]:
-    """Counts, violations, unmatched equalities and CSV rows of a stream
-    of solved graphs."""
-    if which not in BOUND_NAMES:
-        raise ValueError(f"unknown bound name {which!r}")
-    total = applies = satisfied = equality = char_match = 0
-    violations: List[str] = []
-    unmatched: List[str] = []
-    rows: List[str] = []
-    for g6, n, a_g, a_gc, v, label in records:
-        total += 1
-        family = "" if label is None else label.tag.value
-        if v.applies:
-            applies += 1
-            if v.satisfied:
-                satisfied += 1
-            else:
-                violations.append(g6)
-            if v.equality:
-                equality += 1
-                if family:
-                    char_match += 1
-                else:
-                    unmatched.append(g6)
-        rows.append(
-            f"{g6},{n},{half_text(a_g)},{half_text(a_gc)},{half_text(a_g + a_gc)},"
-            f"{half_text(v.bound)},{int(v.satisfied)},{int(v.equality)},{family}"
-        )
+    """Counts, violations, unmatched equalities and CSV rows of a batch of
+    order n: keys, doubled matching numbers, and the Verdict on columns.
+    label_of(i) labels equality row i. A row is its key, its tail (memoised
+    in tails, one per bound and order) and its family."""
+    ok, bad = v.applies & v.satisfied, v.applies & ~v.satisfied
+    hit = v.applies & v.equality
+    labels = {i: label_of(i) for i in v.equality.nonzero()[0].tolist()}
+    columns = zip(a_g, a_gc, v.satisfied.tolist(), v.equality.tolist())
+    rows = [
+        key + (tails.get(t) or tails.setdefault(t, _row_tail(n, v.bound, *t)))
+        for key, t in zip(keys, columns)
+    ]
+    for i, label in labels.items():
+        if label is not None:
+            rows[i] += label.tag.value
+    hits = hit.nonzero()[0].tolist()
     stats = SweepStats(
         which=which,
-        total=total,
-        applies=applies,
-        satisfied=satisfied,
-        equality=equality,
-        characterization_match=char_match,
-        violations=tuple(sorted(violations)),
-        unmatched_equalities=tuple(sorted(unmatched)),
+        total=len(keys),
+        applies=int(ok.sum() + bad.sum()),
+        satisfied=int(ok.sum()),
+        equality=len(hits),
+        characterization_match=sum(labels[i] is not None for i in hits),
+        violations=tuple(sorted(keys[i] for i in bad.nonzero()[0].tolist())),
+        unmatched_equalities=tuple(sorted(keys[i] for i in hits if labels[i] is None)),
     )
     return stats, rows

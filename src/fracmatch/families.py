@@ -133,6 +133,15 @@ def classify_small_alpha(g: Graph) -> Optional[FamilyLabel]:
     or 5/2; None otherwise. Purely structural: never computes a matching."""
     n = g.n
     rows = g.rows
+    # three disjoint edges, found greedily, give a matching number >= 3
+    used = found = 0
+    for u, r in enumerate(rows):
+        free = r & ~used
+        if free and not used >> u & 1:
+            used |= 1 << u | free & -free
+            found += 1
+            if found == 3:
+                return None
     deg = [r.bit_count() for r in rows]
     m = sum(deg) // 2
     if m == 0:

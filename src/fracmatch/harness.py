@@ -15,9 +15,10 @@ and the memory a batch takes is bounded by its fixed size whatever the
 population.
 
 A sweep also takes each batch's complement rows, edge counts and
-isolate-free flags from those arrays. Its per-graph loop is then two
-hopcroft_karp solves on int rows, one verdict from bounds.bound_verdict
-and one CSV row; a Graph is built only when an equality needs
+isolate-free flags from those arrays, and works per batch: two
+hopcroft_karp solves per graph on int rows, then one verdict
+(bounds.bound_verdict) and one tally of counts and CSV rows (bounds.tally)
+per batch, on columns. A Graph is built only when an equality needs
 classifying. An enumeration holds every complement too, so it runs over
 the masks whose top slot bit is clear and reads two rows, the graph's and
 its complement's, off each pair of solves: each enumerated graph costs
@@ -31,18 +32,15 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .bipartite import hopcroft_karp
-from .bounds import SweepStats, _sweep_pairs, bound_verdict, check_sum_order, empty_stats
+from .bounds import SweepStats, bound_verdict, check_sum_order, empty_stats, tally
 from .errors import PreconditionError
 from .graph import Graph, edge_slots
 from .graph6 import _header
-
-if TYPE_CHECKING:
-    from .bounds import SweepRecord
 
 GOLDEN = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
@@ -314,44 +312,33 @@ def _equality_label(n: int, rows: List[int], which: str):
     return classify_equality_family(Graph(n, rows), which)
 
 
-def _sweep_records(n: int, bits: np.ndarray, which: str, paired: bool) -> Iterator[SweepRecord]:
-    """The sweep kernel: one SweepRecord per row of bits, or with paired
-    two, the second for the complement (its slot bits are the row's,
-    flipped). The batch's complement rows, edge counts and isolate-free
-    flags come from its row and bit arrays at once: complement row v is the
-    rows' complement masked to the other vertices, Gc has slots - m edges,
-    and a graph is isolate-free iff no row is 0. Each row then costs two
-    solves on int rows, converted one row at a time, plus a Graph only when
-    an equality is classified."""
-    g_rows = _batch_rows(n, bits)
-    full = (1 << n) - 1
-    gc_rows = ~g_rows & np.array([full ^ 1 << v for v in range(n)], dtype=np.uint64)
-    slots = bits.shape[1]
-    edges = bits.sum(axis=1).tolist()
-    g_free = (g_rows != 0).all(axis=1).tolist()
-    gc_free = (gc_rows != 0).all(axis=1).tolist()
-    gc_keys = _batch_keys(n, bits ^ 1) if paired else None
-    for i, key in enumerate(_batch_keys(n, bits)):
-        rows, c_rows, m = g_rows[i].tolist(), gc_rows[i].tolist(), edges[i]
-        a_g = hopcroft_karp(rows, n).size
-        a_gc = hopcroft_karp(c_rows, n).size
-        v = bound_verdict(which, n, a_g, a_gc, m, slots - m, g_free[i], gc_free[i])
-        label = _equality_label(n, rows, which) if v.equality else None
-        yield key, n, a_g, a_gc, v, label
-        if paired:
-            v = bound_verdict(which, n, a_gc, a_g, slots - m, m, gc_free[i], g_free[i])
-            label = _equality_label(n, c_rows, which) if v.equality else None
-            yield gc_keys[i], n, a_gc, a_g, v, label
-
-
 def _sweep_task(args) -> Tuple[SweepStats, List[str]]:
+    """The sweep kernel on graphs lo..hi-1 of source. Per batch, complement
+    row v is the rows' complement masked to the other vertices, Gc has
+    slots - m edges, and a graph is isolate-free iff no row is 0. Each
+    side of a batch, with paired the complements (the row's slot bits
+    flipped) a second one, gets one verdict and one tally on columns."""
     n, source, which, paired, lo, hi = args
-    records = (
-        record
-        for bits in _bit_batches(source, lo, hi)
-        for record in _sweep_records(n, bits, which, paired)
-    )
-    return _sweep_pairs(records, which)
+    stats, rows, tails = empty_stats(which), [], {}
+    for bits in _bit_batches(source, lo, hi):
+        g_rows = _batch_rows(n, bits)
+        gc_rows = ~g_rows & np.array([(1 << n) - 1 ^ 1 << v for v in range(n)], dtype=np.uint64)
+        slots, m = bits.shape[1], bits.sum(axis=1)
+        g_free, gc_free = (g_rows != 0).all(axis=1), (gc_rows != 0).all(axis=1)
+        a_g = [hopcroft_karp(g_rows[i].tolist(), n).size for i in range(len(bits))]
+        a_gc = [hopcroft_karp(gc_rows[i].tolist(), n).size for i in range(len(bits))]
+        sides = [(_batch_keys(n, bits), a_g, a_gc, m, g_free, gc_free, g_rows)]
+        if paired:
+            sides.append((_batch_keys(n, bits ^ 1), a_gc, a_g, slots - m, gc_free, g_free, gc_rows))
+        for keys, x, y, m_x, x_free, y_free, x_rows in sides:
+            v = bound_verdict(which, n, np.array(x), np.array(y), m_x, slots - m_x, x_free, y_free)
+            part, part_rows = tally(
+                which, n, keys, x, y, v,
+                lambda i: _equality_label(n, x_rows[i].tolist(), which), tails,
+            )
+            stats = stats.merge(part)
+            rows += part_rows
+    return stats, rows
 
 
 def run_sweep(

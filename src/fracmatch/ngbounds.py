@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import (
-    BOUND_NAMES, MIN_STATED_ORDER, SweepStats, Verdict, _sweep_pairs, bound_verdict,
+    BOUND_NAMES, MIN_STATED_ORDER, SweepStats, Verdict, bound_verdict, empty_stats, tally,
 )
 from .errors import InternalInconsistencyError, PreconditionError
 from .families import FamilyLabel, classify_equality_family, universal_vertex_count
@@ -29,9 +30,6 @@ from .graph import Graph, bits, mask_of
 from .graph6 import emit_graph6
 from .halfint import HalfInt
 from .partition import GoodPartition
-
-if TYPE_CHECKING:
-    from .bounds import SweepRecord
 
 Edge = Tuple[int, int]
 
@@ -474,22 +472,31 @@ _RULES = {
 def sweep_with_rows(
     graphs: Iterable[Graph], which: str
 ) -> Tuple[SweepStats, List[str]]:
-    """Evaluate one bound over a graph stream; returns aggregate counts and
-    one CSV row per graph (unsorted; callers sort after merging chunks)."""
+    """Evaluate one bound over a graph stream, graph by graph through
+    ng_sum, and tally each run of up to 256 graphs of one order as the
+    sweep kernel tallies a batch; returns aggregate counts and one CSV row
+    per graph (unsorted; callers sort after merging chunks)."""
+    import numpy as np
 
-    def records() -> Iterable[SweepRecord]:
-        for g in graphs:
-            rep = ng_sum(g)
-            v = rep.bounds[which]
-            # The three bound values differ, so an applicable equality is the
-            # one ng_sum already classified.
-            if not v.equality:
-                label = None
-            elif v.applies:
-                label = rep.equality_family
-            else:
-                label = classify_equality_family(g, which)
-            yield emit_graph6(g), g.n, rep.alpha_g.units, rep.alpha_gc.units, v, label
+    stats, rows = empty_stats(which), []
+    for (n, _), run in groupby(enumerate(graphs), lambda ig: (ig[1].n, ig[0] // 256)):
+        run = [g for _, g in run]
+        reports = [ng_sum(g) for g in run]
+        applies, bound, satisfied, equality = zip(*(rep.bounds[which] for rep in reports))
 
-    return _sweep_pairs(records(), which)
+        def label_of(i: int) -> Optional[FamilyLabel]:
+            # The three bound values differ, so an applicable equality is
+            # the one ng_sum already classified.
+            if applies[i]:
+                return reports[i].equality_family
+            return classify_equality_family(run[i], which)
 
+        part, part_rows = tally(
+            which, n, [emit_graph6(g) for g in run],
+            [rep.alpha_g.units for rep in reports], [rep.alpha_gc.units for rep in reports],
+            Verdict(np.array(applies), bound[0], np.array(satisfied), np.array(equality)),
+            label_of, {},
+        )
+        stats = stats.merge(part)
+        rows += part_rows
+    return stats, rows

@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Nine criteria, one test and one printed [Ck] PASS/FAIL line each. All
+Ten criteria, one test and one printed [Ck] PASS/FAIL line each. All
 tolerances are exact: values are compared in half-integer units, counts
 must be zero, populations and seeds are frozen below. Criteria 1-4 and 6
 run over full enumerations up to the stated order plus a fixed seeded
@@ -32,7 +32,7 @@ from fracmatch.generators import (
     star,
     add_isolates,
 )
-from fracmatch.graph import Graph
+from fracmatch.graph import Graph, edge_slots
 from fracmatch.halfint import HalfInt
 from fracmatch.harness import (
     SampleSpec,
@@ -311,4 +311,45 @@ def test_c9_sweep_determinism():
         "repeated sweeps are byte-identical for any worker count",
         f"{len(runs)} sampled runs, {len(enum_runs)} enumerated runs, "
         f"{len(set(runs)) + len(set(enum_runs))} distinct outputs",
+    )
+
+
+# Minimum of 2(a'(G) + a'(Gc)) over the labeled graphs of order n <= 7 that
+# meet each hypothesis, with the number of graphs attaining it. The stated
+# bounds are n + 1 and n + 4 half-units; (n+4)/2 fails at n = 5.
+C10_MINIMA = {
+    "nonempty": {3: (4, 6), 4: (5, 8), 5: (6, 10), 6: (7, 12), 7: (8, 14)},
+    "isolate_free": {4: (8, 18), 5: (8, 60), 6: (10, 3510), 7: (11, 17052)},
+}
+
+
+def test_c10_small_order_minima(bulk7):
+    got = {which: {} for which in C10_MINIMA}
+    for n in range(2, 8):
+        table = (bulk7 if n == 7 else bulk_alpha2(n)).astype(np.int16)
+        sums = table + table[::-1]
+        masks = np.arange(len(sums))
+        g_free = gc_free = True
+        for v in range(n):
+            at_v = sum(1 << j for j, slot in enumerate(edge_slots(n)) if v in slot)
+            g_free = g_free & (masks & at_v != 0)
+            gc_free = gc_free & (masks & at_v != at_v)
+        hypotheses = {
+            "nonempty": (masks != 0) & (masks != len(sums) - 1),
+            "isolate_free": g_free & gc_free,
+        }
+        for which, holds in hypotheses.items():
+            if holds.any():
+                low = int(sums[holds].min())
+                got[which][n] = (low, int((sums[holds] == low).sum()))
+    cells = "; ".join(
+        f"{which} " + ", ".join(f"n={n}: {low} ({count})" for n, (low, count) in cells.items())
+        for which, cells in got.items()
+    )
+    verdict(
+        10,
+        got == C10_MINIMA,
+        "the least sum 2(a'(G) + a'(Gc)) under each hypothesis at orders 2..7 "
+        "and the graphs attaining it match the pinned table",
+        cells,
     )

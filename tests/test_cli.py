@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, input modes, round-trips."""
 
+import hashlib
 import io
 import json
 
@@ -364,12 +365,47 @@ def _sweep_outputs(capsys, tmp_path, *argv):
     return code, rows, json.loads(json_path.read_text())
 
 
+# sha256 of the CSV and of the JSON each sweep writes.
+SWEEP_DIGESTS = [
+    (("--enumerate", "5", "--bound", "basic"),
+     "9cd5bf4ffb3435142bfc4df278156dffbdd6d6b711c47a544bae5188b44ccf3d",
+     "4943c4e018a3ec231bc20e5cc085b113ae3ab9e150fa1e8f0b64864fe8597752"),
+    (("--enumerate", "5", "--bound", "nonempty"),
+     "fb6e1fd7ef505a077ec3e6d2f69b0b2c33b6d598b0038888d222a6944ddd9f60",
+     "87b22bb5d76fe0492ab6912b3b0ca7e889b162027e07e887afefc0a9fd98810f"),
+    (("--enumerate", "5", "--bound", "isolate_free"),
+     "4f0720ca2f8b8da4559473e1b73091fceda2949d58ecf08ab86f29bc607ab9de",
+     "5d593564ba1b87d98355874bb9c392a842288ac891ad9102d19cf9acd8f8c6a5"),
+    (("--enumerate", "6", "--bound", "basic"),
+     "d41e63408fe2f98b826304cbfc042be3d99d128d6803295168fe528efc91f4bf",
+     "888ec4e3f138ae0cc5c79e163d60e511b87002597dccdf7b4d2915194f00bd40"),
+    (("--sample", "30,1/10,400,7", "--bound", "nonempty"),
+     "35375fc71e517fc780db19bbd0397581186e9e35a256517575bf9699b739ba4c",
+     "df55d97cc3d26cf3f61148f963df270a5c7307f4f3efa94c175c783f84ae7a11"),
+    (("--sample", "29,1/2,400,3", "--bound", "nonempty"),
+     "3701a3aeb038ccd85578e26e444c3eb0389bb0034f223aae77bd37f1d2c5d912",
+     "df55d97cc3d26cf3f61148f963df270a5c7307f4f3efa94c175c783f84ae7a11"),
+    (("--sample", "64,1/2,100,7", "--bound", "isolate_free"),
+     "c369733314e15a8c45190d4e8710b7ee94811b3f82ae47d8690dfadd84c30108",
+     "23234f9d40dd3129717d5bb73c5fb4fa71db59d4e0aeec7fb3c9b46d36aa7ec6"),
+]
+
+
+@pytest.mark.parametrize("argv,csv_sha,json_sha", SWEEP_DIGESTS)
+def test_sweep_output_bytes_are_pinned(capsys, tmp_path, argv, csv_sha, json_sha):
+    csv_path, json_path = tmp_path / "rows.csv", tmp_path / "stats.json"
+    code, _, _ = run(capsys, "sweep", *argv, "--csv", str(csv_path), "--json", str(json_path))
+    assert code == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha
+
+
 def test_sweep_violation_exits_1(capsys, tmp_path, monkeypatch):
     real = harness.bound_verdict
 
     def violated_on_empty(which, n, a_g, a_gc, m_g, *rest):
         v = real(which, n, a_g, a_gc, m_g, *rest)
-        return v._replace(satisfied=False) if m_g == 0 else v
+        return v._replace(satisfied=v.satisfied & (m_g != 0))
 
     monkeypatch.setattr(harness, "bound_verdict", violated_on_empty)
     code, rows, stats = _sweep_outputs(capsys, tmp_path, "--enumerate", "3")

@@ -3,6 +3,7 @@ import itertools
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 
 from fracmatch import (
@@ -543,6 +544,26 @@ def test_verdict_bound_satisfied_equality(which, offset):
         assert v == Verdict(True, bound, total >= bound, total == bound)
     # the star K_{1,29}: alpha'(G) = 1 and alpha'(Gc) = alpha'(K_29) = 29/2
     assert bound_verdict(which, 30, 2, 29, 29, 406, False, False).equality == (which == "nonempty")
+
+
+@pytest.mark.parametrize("which", BOUND_NAMES)
+@pytest.mark.parametrize("n", [2, 27, 28, 64])
+def test_verdict_on_columns_equals_scalar_calls(n, which):
+    # the sweep kernel calls the verdict once per batch, on numpy columns
+    slots, bound = n * (n - 1) // 2, n + {"basic": 0, "nonempty": 1, "isolate_free": 4}[which]
+    grid = list(itertools.product(
+        sorted({0, 1, bound // 2, bound - 1, bound, n}), sorted({0, 1, bound // 2 + 1, n}),
+        sorted({0, 1, slots - 1, slots}), (False, True), (False, True),
+    ))
+    a_g, a_gc, m_g, g_free, gc_free = map(np.array, zip(*grid))
+    columns = bound_verdict(which, n, a_g, a_gc, m_g, slots - m_g, g_free, gc_free)
+    assert columns.bound == bound
+    fields = [np.broadcast_to(f, len(grid)).tolist() for f in columns]
+    for i, args in enumerate(grid):
+        a, b, m, free, c_free = args
+        scalar = bound_verdict(which, n, a, b, m, slots - m, free, c_free)
+        assert [field[i] for field in fields] == list(scalar), args
+    assert any(fields[3]) and not all(fields[2])
 
 
 @pytest.mark.parametrize("n", [0, 1])
