@@ -42,9 +42,11 @@ class FractionalMatching:
     """Half-integral edge weights on a host graph.
 
     Weights are stored sparsely as {(u,v): units} with u < v and
-    units in {1, 2}; absent edges carry 0. Construction validates that no
-    edge is given twice (in either orientation), every weighted pair is a
-    host edge and every vertex load is at most 2 units.
+    units in {1, 2}; absent edges carry 0. Construction validates that every
+    edge joins two host vertices and is given once (in either orientation)
+    with an int weight of 0, 1 or 2 units, every weighted pair is a host
+    edge and every vertex load is at most 2 units; a breach is a ValueError
+    naming the edge or vertex.
     The same pass records every derived fact the certificate layer reads:
     the value, each vertex's load and weight-1 partner (-1 when it has
     none), the bit rows of the half-edge subgraph, and the full and half
@@ -60,17 +62,18 @@ class FractionalMatching:
         partners = [-1] * n
         half_rows = [0] * n
         full = half = 0
-        keys = set()
         for (u, v), units in weights.items():
-            if u > v:
+            if not 0 <= u < v < n:
+                if not 0 <= v < u < n:
+                    raise ValueError(f"edge ({u},{v}) does not join two vertices of 0..{n - 1}")
                 u, v = v, u
-            if (u, v) in keys:
-                raise ValueError(f"edge ({u},{v}) given twice")
-            keys.add((u, v))
+                # the only way to give an edge twice is in both orientations
+                if (u, v) in weights:
+                    raise ValueError(f"edge ({u},{v}) given twice")
+            if type(units) is not int or units not in (0, 1, 2):
+                raise ValueError(f"edge ({u},{v}) has weight {units!r} half-units, want 0/1/2")
             if units == 0:
                 continue
-            if units not in (1, 2):
-                raise ValueError(f"edge ({u},{v}) has weight {units} half-units, want 0/1/2")
             if not host.adj(u, v):
                 raise ValueError(f"weight on non-edge ({u},{v})")
             w[(u, v)] = units

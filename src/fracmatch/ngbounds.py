@@ -2,15 +2,16 @@
 constructive complement matchings witnessing the lower bounds, and the
 scalar reference sweep. The verdicts and the aggregation are in bounds.
 
-The constructions never compute a matching on the complement, in any
-branch; they place weights edge by edge using only facts guaranteed by the
-good partition (the unweighted side is independent, so its complement is a
-clique; the support-side leftovers are complement-complete to the
-unweighted leftovers; the 1-edge partners of paired vertices form a
-complement clique with no complement non-edges into the unweighted side).
-A branch that meets a partition without these facts raises
-InternalInconsistencyError. Feasibility of every placed edge is re-checked
-by the matching container on the complement graph.
+The constructions never compute a matching on the complement. They place
+weights from facts the good partition guarantees: the unweighted side is
+a complement clique, the support leftovers are complement-complete to the
+unweighted leftovers, and the 1-edge partners of paired vertices form a
+complement clique with no complement non-edges into the unweighted side.
+Each branch names only its own 1-edges; one completion step places the
+rest, pairing the remaining support onto the unweighted side and closing
+what is left in a half cycle or around a spare 1-edge. A branch that
+meets a partition without these facts raises InternalInconsistencyError,
+and the matching container re-checks every placed edge on the complement.
 """
 
 from __future__ import annotations
@@ -117,10 +118,7 @@ def _pairs(lefts: Sequence[int], rights: Sequence[int]) -> Dict[Edge, int]:
 def _half_cycle(vertices: Sequence[int]) -> Dict[Edge, int]:
     if len(vertices) < 3:
         raise InternalInconsistencyError(f"cycle needs >= 3 vertices, got {list(vertices)}")
-    w: Dict[Edge, int] = {}
-    for i, a in enumerate(vertices):
-        w[_e(a, vertices[(i + 1) % len(vertices)])] = 1
-    return w
+    return {_e(a, b): 1 for a, b in zip(vertices, [*vertices[1:], vertices[0]])}
 
 
 def _fill(
@@ -179,6 +177,25 @@ def _finish(
     return f, CaseDescriptor(rule=rule, case=case, claimed=claimed)
 
 
+def _complete(
+    gc: Graph, p: GoodPartition, ones: Sequence[Edge], rule: str, case: str,
+    claimed: Fraction, spare: Optional[Edge] = None,
+) -> Tuple[FractionalMatching, CaseDescriptor]:
+    """A branch's fixed 1-edges plus the rest of the matching: drop their
+    endpoints and the spare's from v12, v21 and v22, fill v12 onto the
+    tail of v22, and close the leftover in a half cycle, or, given a spare
+    1-edge, with _cover, whose suffix ends the case name."""
+    used = {v for e in (*ones, spare or ()) for v in e}
+    pairs, leftover = _fill(sorted(p.v12 - used), sorted(p.v21 - used), sorted(p.v22 - used))
+    if spare is None:
+        close = _half_cycle(leftover)
+    else:
+        close, suffix = _cover(leftover, spare)
+        case = f"{case}_{suffix}"
+    weights = {**{_e(a, b): 2 for a, b in ones}, **pairs, **close}
+    return _finish(gc, weights, rule, case, claimed)
+
+
 def applicable_rules(g: Graph, p: GoodPartition) -> Tuple[str, ...]:
     """The construction rules whose preconditions hold, weakest first.
     Every rule needs n >= 2 and a support side of at most n/2 vertices
@@ -226,6 +243,7 @@ def construct_complement_fm(
 
 
 def _base_rule(g: Graph, gc: Graph, p: GoodPartition):
+    # Not _complete: the spare's second end is whatever the fill leaves.
     n, s = g.n, p.s
     v12 = sorted(p.v12)
     spare_end = None
@@ -244,66 +262,49 @@ def _base_rule(g: Graph, gc: Graph, p: GoodPartition):
 
 def _plus_half_rule(g: Graph, gc: Graph, p: GoodPartition):
     n, s = g.n, p.s
-    v12 = sorted(p.v12)
-    v21 = sorted(p.v21)
-    v22 = sorted(p.v22)
     claimed = Fraction(n - s + 1, 2)
     u = min(p.v11)
 
-    v = None
-    location = None
-    for name, pool in (("v12", v12), ("v11", sorted(p.v11)), ("v21", v21), ("v22", v22)):
-        cands = [x for x in pool if x != u and gc.adj(u, x)]
+    for location, part in (("v12", p.v12), ("v11", p.v11), ("v21", p.v21), ("v22", p.v22)):
+        cands = gc.row(u) & mask_of(part)
         if cands:
-            v, location = cands[0], name
+            v = next(bits(cands))
             break
-    if v is None:
+    else:
         raise InternalInconsistencyError(
             f"vertex {u} has no complement neighbour despite an isolate-free complement"
         )
-    uv = {_e(u, v): 2}
 
     if location == "v12":
-        pairs, leftover = _fill([x for x in v12 if x != v], v21, v22)
+        # Not _complete: the leftover may be just two vertices, which
+        # _cover joins by a 1-edge; the case names the count.
+        pairs, leftover = _fill(sorted(p.v12 - {v}), sorted(p.v21), sorted(p.v22))
         cover, suffix = _cover(leftover)
-        return _finish(gc, {**uv, **pairs, **cover}, "plus_half", f"v_in_v12_{suffix}", claimed)
+        weights = {_e(u, v): 2, **pairs, **cover}
+        return _finish(gc, weights, "plus_half", f"v_in_v12_{suffix}", claimed)
 
-    if p.s < 2:
+    if s < 2:
         raise InternalInconsistencyError(
-            f"complement neighbour landed in {location} although s = {p.s}"
+            f"complement neighbour landed in {location} although s = {s}"
         )
-    v1, v2 = sorted(p.x)[:2]
-    # v lies in at most one of v21 and v22; drop it before placing the rest
-    pairs, leftover = _fill(
-        [x for x in v12 if x != v1 and x != v2],
-        [x for x in v21 if x != v],
-        [x for x in v22 if x != v],
-    )
-    weights = {**uv, _e(v1, v2): 2, **pairs, **_half_cycle(leftover)}
-    return _finish(gc, weights, "plus_half", f"v_in_{location}", claimed)
+    ones = [(u, v), tuple(sorted(p.x)[:2])]
+    return _complete(gc, p, ones, "plus_half", f"v_in_{location}", claimed)
 
 
 def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
-    n, s = g.n, p.s
-    v11 = sorted(p.v11)
-    v12 = sorted(p.v12)
-    v21 = sorted(p.v21)
-    v22 = sorted(p.v22)
     v2_mask = p.fm.unweighted_mask()
-    v11_mask = mask_of(v11)
-    v12_mask = mask_of(v12)
-    claimed = Fraction(n - s + 2, 2)
+    v11_mask = mask_of(p.v11)
+    v12_mask = mask_of(p.v12)
+    claimed = Fraction(g.n - p.s + 2, 2)
 
     # an internal complement edge on the paired support side
-    for u in v11:
+    for u in bits(v11_mask):
         cands = gc.row(u) & v11_mask
         if cands:
-            pairs, leftover = _fill(v12, v21, v22)
-            weights = {_e(u, next(bits(cands))): 2, **pairs, **_half_cycle(leftover)}
-            return _finish(gc, weights, "plus_one", "v11_internal", claimed)
+            return _complete(gc, p, [(u, next(bits(cands)))], "plus_one", "v11_internal", claimed)
 
     # a complement edge from the paired support side into the unweighted side
-    for u in v11:
+    for u in bits(v11_mask):
         cands = gc.row(u) & v2_mask
         if not cands:
             continue
@@ -316,37 +317,18 @@ def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
             raise InternalInconsistencyError("complement neighbour shares its pairing origin")
         c12 = gc.row(w) & v12_mask
         if c12:
-            wp = next(bits(c12))
-            pairs, leftover = _fill(
-                [x for x in v12 if x != wp],
-                [y for y in v21 if y != v],
-                [y for y in v22 if y != v],
-            )
-            weights = {_e(u, v): 2, _e(w, wp): 2, **pairs, **_half_cycle(leftover)}
-            return _finish(gc, weights, "plus_one", "v11_to_v2_then_v12", claimed)
+            ones = [(u, v), (w, next(bits(c12)))]
+            return _complete(gc, p, ones, "plus_one", "v11_to_v2_then_v12", claimed)
         c2 = gc.row(w) & v2_mask
         if not c2:
             raise InternalInconsistencyError(
                 f"vertex {w} has no complement neighbour outside the paired side"
             )
-        wp = next(bits(c2))
-        x1, x2 = v12[0], v12[1]
-        pairs, leftover = _fill(
-            [x for x in v12 if x != x1 and x != x2],
-            [y for y in v21 if y != v and y != wp],
-            [y for y in v22 if y != v and y != wp],
-        )
-        weights = {
-            _e(u, v): 2,
-            _e(w, wp): 2,
-            _e(x1, x2): 2,
-            **pairs,
-            **_half_cycle(leftover),
-        }
-        return _finish(gc, weights, "plus_one", "v11_to_v2_then_v2", claimed)
+        ones = [(u, v), (w, next(bits(c2))), tuple(sorted(p.v12)[:2])]
+        return _complete(gc, p, ones, "plus_one", "v11_to_v2_then_v2", claimed)
 
     # every complement neighbour of the paired side lies among the partners
-    u = v11[0]
+    u = min(p.v11)
     cands = gc.row(u) & v12_mask
     if not cands:
         raise InternalInconsistencyError(
@@ -364,9 +346,7 @@ def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
     vpp = next(bits(c))
     if vpp == v:
         raise InternalInconsistencyError("partner branch picked the original vertex twice")
-    pairs, leftover = _fill([x for x in v12 if x != v and x != vpp], v21, v22)
-    weights = {_e(u, v): 2, _e(vp, vpp): 2, **pairs, **_half_cycle(leftover)}
-    return _finish(gc, weights, "plus_one", "v11_to_v12", claimed)
+    return _complete(gc, p, [(u, v), (vp, vpp)], "plus_one", "v11_to_v12", claimed)
 
 
 def nearquarter_window(n: int) -> Tuple[int, int]:
@@ -406,16 +386,17 @@ def _near_quarter_rule(g: Graph, gc: Graph, p: GoodPartition):
     v22 = sorted(p.v22)
 
     if s <= 1:
+        # Not _complete: pairing the head of v12 onto all of v22 already
+        # meets the claim, and v21 stays unweighted.
         v12 = sorted(p.v12)
-        k = len(v22)
-        if k > len(v12):
+        if len(v22) > len(v12):
             raise InternalInconsistencyError(
                 "unweighted leftover exceeds the unpaired support side"
             )
-        return _finish(gc, _pairs(v12[:k], v22), rule, "s_small", claimed)
+        return _finish(gc, _pairs(v12[: len(v22)], v22), rule, "s_small", claimed)
 
     xs = sorted(p.x)
-    v1, v2 = xs[0], xs[1]
+    x_edge = (xs[0], xs[1])
 
     # Two 1-edges from v21[0] and v21[1] onto unpaired support vertices a
     # and b, found on a half cycle or on two internal 1-edges; the branches
@@ -426,9 +407,8 @@ def _near_quarter_rule(g: Graph, gc: Graph, p: GoodPartition):
         case = "halfcycle"
     else:
         if T2 == 2 * s:
-            weights = {_e(v1, v2): 2, **_pairs(xs[2:], v21[: s - 2])}
-            weights.update(_half_cycle(sorted(v21[s - 2 :] + v22)))
-            return _finish(gc, weights, rule, "s_equals_t", claimed)
+            ones = [x_edge, *zip(xs[2:], v21[: s - 2])]
+            return _complete(gc, p, ones, rule, "s_equals_t", claimed)
 
         internal = [e for e in p.fm.one_edges() if e[0] in p.v12 and e[1] in p.v12]
         if len(internal) * 2 != T2 - 2 * s:
@@ -436,26 +416,19 @@ def _near_quarter_rule(g: Graph, gc: Graph, p: GoodPartition):
                 "unpaired support side is not covered by internal 1-edges"
             )
         if len(internal) == 1:
-            x = v21[0]
-            w, w1 = _open_end(gc, x, internal[0])
+            w, w1 = _open_end(gc, v21[0], internal[0])
             if not v22:
                 raise InternalInconsistencyError(
                     "no fully unweighted vertex left for the internal 1-edge swap"
                 )
-            rest21 = v21[1:]
-            weights = {_e(v1, v2): 2, _e(x, w): 2, _e(v22[0], w1): 2}
-            weights.update(_pairs(xs[2:], rest21[: s - 2]))
-            weights.update(_half_cycle(sorted(rest21[s - 2 :] + v22[1:])))
-            return _finish(gc, weights, rule, "p1", claimed)
+            ones = [x_edge, (v21[0], w), (v22[0], w1), *zip(xs[2:], v21[1 : s - 1])]
+            return _complete(gc, p, ones, rule, "p1", claimed)
         a = _open_end(gc, v21[0], internal[0])[0]
         b = _open_end(gc, v21[1], internal[1])[0]
         case = "p2"
 
-    weights = {_e(a, v21[0]): 2, _e(b, v21[1]): 2, **_pairs(xs[2:], v21[2:])}
-    pool = [z for z in sorted(p.v12 - p.x) if z not in (a, b)]
-    pairs, leftover = _fill(pool, [], v22)
-    cover, suffix = _cover(leftover, (v1, v2))
-    return _finish(gc, {**weights, **pairs, **cover}, rule, f"{case}_{suffix}", claimed)
+    ones = [(a, v21[0]), (b, v21[1]), *zip(xs[2:], v21[2:])]
+    return _complete(gc, p, ones, rule, case, claimed, spare=x_edge)
 
 
 _RULES = {

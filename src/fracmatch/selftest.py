@@ -185,7 +185,6 @@ def run_construction_suite(
         except Exception as exc:
             failures.append(f"{key}: partition failed: {exc}")
             continue
-        cap = alpha2(g.complement())
         probes = list(applicable_rules(g, p))
         if p.t.units in nearquarter_window(n):
             probes.append("near_quarter")
@@ -200,7 +199,7 @@ def run_construction_suite(
                 if n >= MIN_STATED_ORDER:
                     failures.append(f"{key} {rule}: {exc}")
                 continue
-            if f.value.units > cap:
+            if f.value.units > alpha2(f.host):
                 failures.append(f"{key} {rule}: value {f.value} beats optimum")
             coverage[(case.rule, case.case)] = coverage.get((case.rule, case.case), 0) + 1
     return SuiteResult("construction", checked, tuple(failures)), coverage

@@ -168,6 +168,16 @@ def test_fm_validation():
     assert f.load_units(0) == 2 and f.load_units(2) == 0
 
 
+@pytest.mark.parametrize("weights, message", [
+    ({(5, 7): 2}, r"edge \(5,7\) does not join two vertices of 0\.\.2"),
+    ({(-1, 1): 2}, r"edge \(-1,1\) does not join two vertices of 0\.\.2"),
+    ({(1, 2): 2.0}, r"edge \(1,2\) has weight 2\.0 half-units"),
+], ids=["vertex_beyond_host", "negative_vertex", "float_weight"])
+def test_fm_rejects_malformed_edge(weights, message):
+    with pytest.raises(ValueError, match=message):
+        FractionalMatching(path(3), weights)
+
+
 def test_fm_derived_facts():
     g = disjoint_union(cycle(3), complete(2), complete(1))
     f = FractionalMatching(g, {(0, 1): 1, (1, 2): 1, (0, 2): 1, (4, 3): 2})
