@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -55,13 +56,11 @@ def load_graph(arg: str) -> Graph:
 
 
 def _label_json(label: Optional[FamilyLabel]):
+    """The tag's value, then the label's other fields that are set."""
     if label is None:
         return None
-    out = {"tag": label.tag.value}
-    for field in ("k", "p", "q", "ell", "m"):
-        value = getattr(label, field)
-        if value is not None:
-            out[field] = value
+    out = {k: v for k, v in dataclasses.asdict(label).items() if v is not None}
+    out["tag"] = label.tag.value
     return out
 
 
@@ -117,27 +116,15 @@ def cmd_ngsum(args) -> int:
 
     g = load_graph(args.graph)
     report = ng_sum(g)
-    hyp = report.hypotheses
     out = {
         "graph6": emit_graph6(g),
         "n": report.n,
         "alpha_g": str(report.alpha_g),
         "alpha_gc": str(report.alpha_gc),
         "sum": str(report.sum),
-        "hypotheses": {
-            "g_nonempty": hyp.g_nonempty,
-            "gc_nonempty": hyp.gc_nonempty,
-            "g_isolate_free": hyp.g_isolate_free,
-            "gc_isolate_free": hyp.gc_isolate_free,
-            "n_at_least_28": hyp.n_at_least_28,
-        },
+        "hypotheses": dataclasses.asdict(report.hypotheses),
         "bounds": {
-            which: {
-                "applies": b.applies,
-                "bound": half_text(b.bound),
-                "satisfied": b.satisfied,
-                "equality": b.equality,
-            }
+            which: {**b._asdict(), "bound": half_text(b.bound)}
             for which, b in report.bounds.items()
         },
         "equality_family": _label_json(report.equality_family),

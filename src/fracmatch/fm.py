@@ -3,11 +3,11 @@
 Values are integer half-units throughout (edge weight 1/2 <-> 1 unit,
 weight 1 <-> 2 units). The matching number is half the maximum matching of
 the bipartite double cover, whose left rows are the graph's own adjacency
-rows. One Hopcroft-Karp solve gives the value, the matching and a König
-cover; the cover certifies the value inside the solver, and the vertices
-covered on both sides are a Berge witness S for the isolated-vertex
-deficiency formula max over S of i(G-S) - |S| = n - 2*alpha', checked by
-recount.
+rows. One Hopcroft-Karp solve per Graph, kept on it and read by alpha2,
+berge_deficiency and extract_fm, gives the value, the matching and a König
+cover; the cover certifies the value in the solver, and the vertices covered
+on both sides are a Berge witness S for the isolated-vertex deficiency
+formula max over S of i(G-S) - |S| = n - 2*alpha', checked by recount.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .bipartite import hopcroft_karp
+from .bipartite import BipartiteMatching, hopcroft_karp
 from .errors import InternalInconsistencyError, PreconditionError
 from .graph import Graph, VertexSet, bits, mask_of
 from .halfint import HalfInt
@@ -43,10 +43,10 @@ class FractionalMatching:
 
     Weights are stored sparsely as {(u,v): units} with u < v and
     units in {1, 2}; absent edges carry 0. Construction validates that every
-    edge joins two host vertices and is given once (in either orientation)
-    with an int weight of 0, 1 or 2 units, every weighted pair is a host
-    edge and every vertex load is at most 2 units; a breach is a ValueError
-    naming the edge or vertex.
+    edge joins two host vertices named by ints and is given once (in either
+    orientation) with an int weight of 0, 1 or 2 units, every weighted pair
+    is a host edge and every vertex load is at most 2 units; a breach is a
+    ValueError naming the edge or vertex.
     The same pass records every derived fact the certificate layer reads:
     the value, each vertex's load and weight-1 partner (-1 when it has
     none), the bit rows of the half-edge subgraph, and the full and half
@@ -63,6 +63,8 @@ class FractionalMatching:
         half_rows = [0] * n
         full = half = 0
         for (u, v), units in weights.items():
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u},{v}) names a vertex that is not an int")
             if not 0 <= u < v < n:
                 if not 0 <= v < u < n:
                     raise ValueError(f"edge ({u},{v}) does not join two vertices of 0..{n - 1}")
@@ -186,9 +188,16 @@ def deficiency_of(g: Graph, s_set: Iterable[int]) -> int:
     return (rest & ~reached).bit_count() - s_mask.bit_count()
 
 
+def _solved(g: Graph) -> BipartiteMatching:
+    """The double-cover solve of g, made on first use and kept on g."""
+    if g._solve is None:
+        g._solve = hopcroft_karp(g.rows, g.n)
+    return g._solve
+
+
 def alpha2(g: Graph) -> int:
     """2*alpha'(g) as a plain int (the double-cover matching size)."""
-    return hopcroft_karp(g.rows, g.n).size
+    return _solved(g).size
 
 
 def alpha_prime(g: Graph) -> HalfInt:
@@ -199,7 +208,7 @@ def berge_deficiency(g: Graph) -> BergeWitness:
     """Maximizer of i(G-S) - |S|: S is the set of vertices covered on both
     sides of the double-cover König cover, revalidated by recount against
     n - 2*alpha'."""
-    m = hopcroft_karp(g.rows, g.n)
+    m = _solved(g)
     s_set = frozenset(bits(m.cover_left & m.cover_right))
     d = deficiency_of(g, s_set)
     if d != g.n - m.size:
@@ -212,7 +221,7 @@ def berge_deficiency(g: Graph) -> BergeWitness:
 def extract_fm(g: Graph) -> FractionalMatching:
     """An optimal-value half-integral matching read off the double cover:
     edge uv gets one half-unit per matched cover copy."""
-    m = hopcroft_karp(g.rows, g.n)
+    m = _solved(g)
     w: Dict[Edge, int] = {}
     for u in range(g.n):
         v = m.pair_left[u]

@@ -35,9 +35,10 @@ def edge_slots(n: int) -> Tuple[Tuple[int, int], ...]:
 
 class Graph:
     """Immutable simple graph; adjacency row of vertex v is the int mask
-    of its neighbours. 0 <= n <= 64."""
+    of its neighbours. 0 <= n <= 64. The hash and fracmatch.fm's solve of
+    the double cover are kept once made, outside equality and repr."""
 
-    __slots__ = ("n", "_rows", "_hash")
+    __slots__ = ("n", "_rows", "_hash", "_solve")
 
     def __init__(self, n: int, rows: List[int]):
         if not 0 <= n <= MAX_VERTICES:
@@ -46,7 +47,7 @@ class Graph:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         self.n = n
         self._rows = tuple(rows)
-        self._hash = None
+        self._hash = self._solve = None
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Tuple[int, int]]) -> "Graph":

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fracmatch import fm, partition
 from fracmatch.errors import InternalInconsistencyError, PreconditionError
 from fracmatch.fm import (
     FractionalMatching,
@@ -147,6 +148,40 @@ def test_berge_cover_path_agrees_with_brute():
         assert deficiency_of(g, w.s_set) == w.deficiency
 
 
+READERS = {
+    "alpha2": alpha2,
+    "alpha_prime": alpha_prime,
+    "berge_deficiency": berge_deficiency,
+    "canonical_fm": canonical_fm,
+    "good_partition": partition.good_partition,
+}
+
+
+@pytest.mark.parametrize("order", [list(READERS), list(READERS)[::-1]], ids=["forward", "reverse"])
+def test_one_double_cover_solve_per_graph(monkeypatch, order):
+    solves = []
+
+    def counting(rows, n_right, solve=fm.hopcroft_karp):
+        solves.append(tuple(rows))
+        return solve(rows, n_right)
+
+    monkeypatch.setattr(fm, "hopcroft_karp", counting)
+    monkeypatch.setattr(partition, "hopcroft_karp", counting)
+    g = disjoint_union(cycle(5), star(3), path(2))
+    seen = (hash(g), repr(g))
+    for name in order:
+        READERS[name](g)
+    # the pairing in good_partition solves other rows: support onto unweighted
+    assert solves.count(g.rows) == 1 and len(solves) == 2
+    assert (hash(g), repr(g)) == seen and g == Graph(g.n, list(g.rows))
+
+    twin = Graph(g.n, list(g.rows))
+    assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+    for name in order:
+        READERS[name](twin)
+    assert solves.count(g.rows) == 2
+
+
 # --------------------------------------------------------------- container
 
 
@@ -172,7 +207,9 @@ def test_fm_validation():
     ({(5, 7): 2}, r"edge \(5,7\) does not join two vertices of 0\.\.2"),
     ({(-1, 1): 2}, r"edge \(-1,1\) does not join two vertices of 0\.\.2"),
     ({(1, 2): 2.0}, r"edge \(1,2\) has weight 2\.0 half-units"),
-], ids=["vertex_beyond_host", "negative_vertex", "float_weight"])
+    ({(0.0, 1.0): 2}, r"edge \(0\.0,1\.0\) names a vertex that is not an int"),
+    ({(True, 2): 2}, r"edge \(True,2\) names a vertex that is not an int"),
+], ids=["vertex_beyond_host", "negative_vertex", "float_weight", "float_vertex", "bool_vertex"])
 def test_fm_rejects_malformed_edge(weights, message):
     with pytest.raises(ValueError, match=message):
         FractionalMatching(path(3), weights)

@@ -306,6 +306,16 @@ def test_a_sweep_loads_only_the_sweep_path(tmp_path):
     assert [name for name in SWEEP_DEFERRED if name in loaded] == []
 
 
+def test_graph_layer_loads_no_solver():
+    # Graph keeps its double-cover solve, but only fracmatch.fm fills it.
+    loaded = fresh(
+        "import json, sys\n"
+        "import fracmatch.graph\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert [name for name in ("fracmatch.bipartite", "fracmatch.fm") if name in loaded] == []
+
+
 def test_bare_import_loads_no_submodule():
     loaded = fresh(
         "import json, sys\n"
