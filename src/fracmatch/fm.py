@@ -47,13 +47,17 @@ class FractionalMatching:
     orientation) with an int weight of 0, 1 or 2 units, every weighted pair
     is a host edge and every vertex load is at most 2 units; a breach is a
     ValueError naming the edge or vertex.
-    The same pass records every derived fact the certificate layer reads:
-    the value, each vertex's load and weight-1 partner (-1 when it has
-    none), the bit rows of the half-edge subgraph, and the full and half
-    vertex masks whose union is the support.
+    The same pass records every derived fact the certificate layer reads,
+    as plain attributes: the value, each vertex's load and weight-1 partner
+    (-1 when it has none) in loads and partners, the bit rows of the
+    half-edge subgraph in half_rows, and the vertex masks full, half, their
+    union support, and its complement unweighted.
     """
 
-    __slots__ = ("host", "value", "_w", "_loads", "_partners", "_half_rows", "_full", "_half")
+    __slots__ = (
+        "host", "value", "_w", "loads", "partners", "half_rows",
+        "full", "half", "support", "unweighted",
+    )
 
     def __init__(self, host: Graph, weights: Dict[Edge, int]):
         n = host.n
@@ -94,40 +98,19 @@ class FractionalMatching:
         self.host = host
         self.value = HalfInt(sum(w.values()))
         self._w = w
-        self._loads = tuple(loads)
-        self._partners = tuple(partners)
-        self._half_rows = tuple(half_rows)
-        self._full = full
-        self._half = half
-
-    def load_units(self, v: int) -> int:
-        return self._loads[v]
-
-    def partner(self, v: int) -> int:
-        """The vertex joined to v by a 1-edge, or -1."""
-        return self._partners[v]
-
-    def half_row(self, v: int) -> int:
-        """Mask of the vertices joined to v by a half-edge."""
-        return self._half_rows[v]
+        self.loads = tuple(loads)
+        self.partners = tuple(partners)
+        self.half_rows = tuple(half_rows)
+        self.full = full
+        self.half = half
+        self.support = full | half
+        self.unweighted = ((1 << n) - 1) & ~self.support
 
     def items(self) -> List[Tuple[Edge, int]]:
         return sorted(self._w.items())
 
     def one_edges(self) -> List[Edge]:
-        return [(u, v) for u, v in enumerate(self._partners) if u < v]
-
-    def support_mask(self) -> int:
-        return self._full | self._half
-
-    def full_mask(self) -> int:
-        return self._full
-
-    def half_mask(self) -> int:
-        return self._half
-
-    def unweighted_mask(self) -> int:
-        return ((1 << self.host.n) - 1) & ~(self._full | self._half)
+        return [(u, v) for u, v in enumerate(self.partners) if u < v]
 
     def half_support_components(self) -> List[Tuple[str, List[int]]]:
         """Connected components of the half-edge subgraph as
@@ -138,9 +121,9 @@ class FractionalMatching:
         half-neighbour; paths start at their smaller endpoint. Every load is
         at most 2 units, so no vertex has more than two half-neighbours.
         """
-        rows = self._half_rows
+        rows = self.half_rows
         out: List[Tuple[str, List[int]]] = []
-        left = self._half
+        left = self.half
         while left:
             first = (left & -left).bit_length() - 1
             row = rows[first]
@@ -266,15 +249,14 @@ def _canonicalize(f: FractionalMatching) -> FractionalMatching:
     if out.value != f.value:
         raise InternalInconsistencyError("canonicalization changed the value")
     g = f.host
-    unweighted = out.unweighted_mask()
-    full = out.full_mask()
+    unweighted = out.unweighted
     for v in bits(unweighted):
         nb = g.row(v)
         if nb & unweighted:
             raise InternalInconsistencyError(f"adjacent unweighted vertices at {v}")
-        if nb & ~full:
+        if nb & ~out.full:
             raise InternalInconsistencyError(f"unweighted vertex {v} has a non-full neighbour")
-    for v in bits(out.half_mask()):
+    for v in bits(out.half):
         if g.row(v) & unweighted:
             raise InternalInconsistencyError(f"half-cycle vertex {v} touches an unweighted vertex")
     return out

@@ -27,9 +27,6 @@ class HalfInt:
         if self.units < 0:
             raise ValueError(f"negative half-unit count: {self.units}")
 
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.units + other.units)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.units, 2)
 

@@ -121,13 +121,13 @@ def _half_cycle(vertices: Sequence[int]) -> Dict[Edge, int]:
     return {_e(a, b): 1 for a, b in zip(vertices, [*vertices[1:], vertices[0]])}
 
 
-def _fill(
-    lefts: Sequence[int], v21: List[int], v22: List[int]
-) -> Tuple[Dict[Edge, int], List[int]]:
-    """1-edges from lefts onto the last len(lefts) vertices of v22, and the
-    sorted leftover: v21 plus the head of v22."""
-    k = len(v22) - len(lefts)
-    return _pairs(lefts, v22[k:]), sorted(v21 + v22[:k])
+def _fill(v12: int, v21: int, v22: int) -> Tuple[Dict[Edge, int], List[int]]:
+    """1-edges from the vertices of v12 onto as many of the highest
+    vertices of v22 (all three are vertex masks), and the ascending
+    leftover: v21 plus the rest of v22."""
+    lefts, rights = list(bits(v12)), list(bits(v22))
+    k = len(rights) - len(lefts)
+    return _pairs(lefts, rights[k:]), list(bits(v21 | mask_of(rights[:k])))
 
 
 def _cover(
@@ -185,8 +185,8 @@ def _complete(
     endpoints and the spare's from v12, v21 and v22, fill v12 onto the
     tail of v22, and close the leftover in a half cycle, or, given a spare
     1-edge, with _cover, whose suffix ends the case name."""
-    used = {v for e in (*ones, spare or ()) for v in e}
-    pairs, leftover = _fill(sorted(p.v12 - used), sorted(p.v21 - used), sorted(p.v22 - used))
+    free = ~mask_of(v for e in (*ones, spare or ()) for v in e)
+    pairs, leftover = _fill(p.v12 & free, p.v21 & free, p.v22 & free)
     if spare is None:
         close = _half_cycle(leftover)
     else:
@@ -245,15 +245,15 @@ def construct_complement_fm(
 def _base_rule(g: Graph, gc: Graph, p: GoodPartition):
     # Not _complete: the spare's second end is whatever the fill leaves.
     n, s = g.n, p.s
-    v12 = sorted(p.v12)
+    v12 = p.v12
     spare_end = None
     if n - 2 * p.t.units + s == 1:
         # One vertex is left over, so s <= 1. A support vertex with no
         # neighbour on the unweighted side (x, or any v12 vertex when s = 0)
         # closes a half triangle with the two vertices the fill leaves.
-        spare_end = min(p.x) if s else v12[0]
-        v12.remove(spare_end)
-    pairs, leftover = _fill(v12, sorted(p.v21), sorted(p.v22))
+        spare_end = min(bits(p.x if s else v12))
+        v12 &= ~(1 << spare_end)
+    pairs, leftover = _fill(v12, p.v21, p.v22)
     spare = None if spare_end is None else (spare_end, leftover.pop())
     cover, suffix = _cover(leftover, spare)
     case = f"r1_s{s}" if suffix == "r1" else suffix
@@ -263,10 +263,10 @@ def _base_rule(g: Graph, gc: Graph, p: GoodPartition):
 def _plus_half_rule(g: Graph, gc: Graph, p: GoodPartition):
     n, s = g.n, p.s
     claimed = Fraction(n - s + 1, 2)
-    u = min(p.v11)
+    u = min(bits(p.v11))
 
     for location, part in (("v12", p.v12), ("v11", p.v11), ("v21", p.v21), ("v22", p.v22)):
-        cands = gc.row(u) & mask_of(part)
+        cands = gc.row(u) & part
         if cands:
             v = next(bits(cands))
             break
@@ -278,7 +278,7 @@ def _plus_half_rule(g: Graph, gc: Graph, p: GoodPartition):
     if location == "v12":
         # Not _complete: the leftover may be just two vertices, which
         # _cover joins by a 1-edge; the case names the count.
-        pairs, leftover = _fill(sorted(p.v12 - {v}), sorted(p.v21), sorted(p.v22))
+        pairs, leftover = _fill(p.v12 & ~(1 << v), p.v21, p.v22)
         cover, suffix = _cover(leftover)
         weights = {_e(u, v): 2, **pairs, **cover}
         return _finish(gc, weights, "plus_half", f"v_in_v12_{suffix}", claimed)
@@ -287,58 +287,57 @@ def _plus_half_rule(g: Graph, gc: Graph, p: GoodPartition):
         raise InternalInconsistencyError(
             f"complement neighbour landed in {location} although s = {s}"
         )
-    ones = [(u, v), tuple(sorted(p.x)[:2])]
+    ones = [(u, v), tuple(list(bits(p.x))[:2])]
     return _complete(gc, p, ones, "plus_half", f"v_in_{location}", claimed)
 
 
 def _plus_one_rule(g: Graph, gc: Graph, p: GoodPartition):
-    v2_mask = p.fm.unweighted_mask()
-    v11_mask = mask_of(p.v11)
-    v12_mask = mask_of(p.v12)
+    v2 = p.fm.unweighted
     claimed = Fraction(g.n - p.s + 2, 2)
 
     # an internal complement edge on the paired support side
-    for u in bits(v11_mask):
-        cands = gc.row(u) & v11_mask
+    for u in bits(p.v11):
+        cands = gc.row(u) & p.v11
         if cands:
             return _complete(gc, p, [(u, next(bits(cands)))], "plus_one", "v11_internal", claimed)
 
     # a complement edge from the paired support side into the unweighted side
-    for u in bits(v11_mask):
-        cands = gc.row(u) & v2_mask
+    for u in bits(p.v11):
+        cands = gc.row(u) & v2
         if not cands:
             continue
         v = next(bits(cands))
-        if v in p.v21:
+        if p.v21 >> v & 1:
             w = next(a for a, b in p.pairing if b == v)
         else:
-            w = next(bits(g.row(v) & v11_mask))
+            w = next(bits(g.row(v) & p.v11))
         if w == u:
             raise InternalInconsistencyError("complement neighbour shares its pairing origin")
-        c12 = gc.row(w) & v12_mask
+        c12 = gc.row(w) & p.v12
         if c12:
             ones = [(u, v), (w, next(bits(c12)))]
             return _complete(gc, p, ones, "plus_one", "v11_to_v2_then_v12", claimed)
-        c2 = gc.row(w) & v2_mask
+        c2 = gc.row(w) & v2
         if not c2:
             raise InternalInconsistencyError(
                 f"vertex {w} has no complement neighbour outside the paired side"
             )
-        ones = [(u, v), (w, next(bits(c2))), tuple(sorted(p.v12)[:2])]
+        ones = [(u, v), (w, next(bits(c2))), tuple(list(bits(p.v12))[:2])]
         return _complete(gc, p, ones, "plus_one", "v11_to_v2_then_v2", claimed)
 
     # every complement neighbour of the paired side lies among the partners
-    u = min(p.v11)
-    cands = gc.row(u) & v12_mask
+    u = min(bits(p.v11))
+    cands = gc.row(u) & p.v12
     if not cands:
         raise InternalInconsistencyError(
             f"vertex {u} has no complement neighbour despite an isolate-free complement"
         )
     v = next(bits(cands))
-    vp = p.fm.partner(v)
-    if vp not in p.v11 or vp == u:
+    vp = p.fm.partners[v]
+    # -1 (no partner) must raise here, not shift by a negative count.
+    if vp < 0 or not p.v11 >> vp & 1 or vp == u:
         raise InternalInconsistencyError("partner bookkeeping broke in the partner branch")
-    c = gc.row(vp) & v12_mask
+    c = gc.row(vp) & p.v12
     if not c:
         raise InternalInconsistencyError(
             f"vertex {vp} has no complement neighbour among the partners"
@@ -382,20 +381,20 @@ def _near_quarter_rule(g: Graph, gc: Graph, p: GoodPartition):
     n, T2, s = g.n, p.t.units, p.s
     claimed = Fraction(2 * n - T2, 4)
     rule = "near_quarter"
-    v21 = sorted(p.v21)
-    v22 = sorted(p.v22)
+    v21 = list(bits(p.v21))
+    v22 = list(bits(p.v22))
 
     if s <= 1:
         # Not _complete: pairing the head of v12 onto all of v22 already
         # meets the claim, and v21 stays unweighted.
-        v12 = sorted(p.v12)
+        v12 = list(bits(p.v12))
         if len(v22) > len(v12):
             raise InternalInconsistencyError(
                 "unweighted leftover exceeds the unpaired support side"
             )
         return _finish(gc, _pairs(v12[: len(v22)], v22), rule, "s_small", claimed)
 
-    xs = sorted(p.x)
+    xs = list(bits(p.x))
     x_edge = (xs[0], xs[1])
 
     # Two 1-edges from v21[0] and v21[1] onto unpaired support vertices a
@@ -410,7 +409,7 @@ def _near_quarter_rule(g: Graph, gc: Graph, p: GoodPartition):
             ones = [x_edge, *zip(xs[2:], v21[: s - 2])]
             return _complete(gc, p, ones, rule, "s_equals_t", claimed)
 
-        internal = [e for e in p.fm.one_edges() if e[0] in p.v12 and e[1] in p.v12]
+        internal = [(a, b) for a, b in p.fm.one_edges() if p.v12 >> a & 1 and p.v12 >> b & 1]
         if len(internal) * 2 != T2 - 2 * s:
             raise InternalInconsistencyError(
                 "unpaired support side is not covered by internal 1-edges"

@@ -1,13 +1,13 @@
 """The good partition: a canonical optimal fractional matching plus a
 maximum pairing between its support and its unweighted vertices.
 
-Every part is read off those two. v11 and v21 are the left and right ends
-of the pairing, v12 is the rest of the support and v22 the rest of the
-unweighted side; s is the pairing's size, t the matching's value, and x
-collects the 1-edge partners of v11. Five structural properties are
-verified on every constructed partition; their textbook exchange
-arguments all raise the matching value, so on a certified optimum a
-violation is an internal error, not a reachable state.
+Every part is an int vertex mask read off those two. v11 and v21 are the
+left and right ends of the pairing, v12 is the rest of the support and
+v22 the rest of the unweighted side; s is the pairing's size, t the
+matching's value, and x collects the 1-edge partners of v11. Five
+structural properties are verified on every constructed partition; their
+textbook exchange arguments all raise the matching value, so on a
+certified optimum a violation is an internal error, not a reachable state.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import List, Tuple
 from .bipartite import hopcroft_karp
 from .errors import InternalInconsistencyError
 from .fm import FractionalMatching, alpha2, canonical_fm  # alpha2: fmbench smoke test checks it
-from .graph import Graph, VertexSet, bits, mask_of
+from .graph import Graph, bits
 
 Pairing = Tuple[Tuple[int, int], ...]
 
@@ -27,34 +27,31 @@ Pairing = Tuple[Tuple[int, int], ...]
 @dataclass(frozen=True)
 class GoodPartition:
     """A matching and a pairing of its support vertices with unweighted
-    ones. The parts v11, v12, v21, v22 and x (frozensets), s (an int) and
-    t (a HalfInt) are read off these two once, when the object is built."""
+    ones. The parts v11, v12, v21, v22 and x (int vertex masks), s (an
+    int) and t (a HalfInt) are read off these two in one pass over the
+    pairing, when the object is built."""
 
     fm: FractionalMatching
     pairing: Pairing
 
     def __post_init__(self) -> None:
         f = self.fm
-        v11 = frozenset(u for u, _ in self.pairing)
-        v21 = frozenset(w for _, w in self.pairing)
-        # A vertex without a 1-edge partner adds nothing to x.
+        v11 = v21 = x = 0
+        for u, w in self.pairing:
+            v11 |= 1 << u
+            v21 |= 1 << w
+            # A vertex without a 1-edge partner adds nothing to x.
+            if f.partners[u] != -1:
+                x |= 1 << f.partners[u]
         self.__dict__.update(
             v11=v11,
-            v12=frozenset(bits(f.support_mask())) - v11,
+            v12=f.support & ~v11,
             v21=v21,
-            v22=frozenset(bits(f.unweighted_mask())) - v21,
-            x=frozenset(f.partner(u) for u in v11) - {-1},
+            v22=f.unweighted & ~v21,
+            x=x,
             s=len(self.pairing),
             t=f.value,
         )
-
-    @property
-    def support_side(self) -> VertexSet:
-        return self.v11 | self.v12
-
-    @property
-    def unweighted_side(self) -> VertexSet:
-        return self.v21 | self.v22
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,7 @@ def check_partition_structure(g: Graph, p: GoodPartition) -> None:
     f = p.fm
     if f.host != g:
         raise ValueError("matching belongs to a different graph")
-    support, unweighted = f.support_mask(), f.unweighted_mask()
+    support, unweighted = f.support, f.unweighted
     if support.bit_count() != p.t.units:
         raise ValueError("support side is not twice the matching value")
     used = 0
@@ -95,33 +92,27 @@ def check_partition_structure(g: Graph, p: GoodPartition) -> None:
 
 
 def _build_partition(g: Graph, f: FractionalMatching) -> GoodPartition:
-    v1 = list(bits(f.support_mask()))
-    unweighted = f.unweighted_mask()
+    v1 = list(bits(f.support))
     # Right indices are vertex ids; the ascending left order fixes the pairing.
-    m = hopcroft_karp([g.row(u) & unweighted for u in v1], g.n)
+    m = hopcroft_karp([g.row(u) & f.unweighted for u in v1], g.n)
     return GoodPartition(f, tuple((u, w) for u, w in zip(v1, m.pair_left) if w != -1))
 
 
 def verify_partition(g: Graph, p: GoodPartition) -> PropertyReport:
     """Check the five structural properties; returns a report, never raises."""
     f = p.fm
-    v2_mask = f.unweighted_mask()
-    x_mask = mask_of(p.x)
-    v11_mask = mask_of(p.v11)
+    prop_a = not any(g.row(u) & g.row(v) & f.unweighted for u, v in f.one_edges())
 
-    prop_a = True
-    for u, v in f.one_edges():
-        if g.row(u) & g.row(v) & v2_mask:
-            prop_a = False
-            break
+    # x is exactly the set of 1-edge partners of v11.
+    prop_b = not (p.x & p.v11 or any(f.half_rows[u] & p.v11 for u in bits(p.v11)))
 
-    prop_b = not any(f.half_row(u) & v11_mask or f.partner(u) in p.v11 for u in p.v11)
+    prop_c = p.v11 & ~f.full == 0
 
-    prop_c = v11_mask & ~f.full_mask() == 0
-
-    prop_d = all(g.row(v) & x_mask == 0 for v in p.x)
-
-    prop_e = all(g.row(v) & v2_mask == 0 for v in p.x)
+    x_reach = 0
+    for v in bits(p.x):
+        x_reach |= g.row(v)
+    prop_d = x_reach & p.x == 0
+    prop_e = x_reach & f.unweighted == 0
 
     return PropertyReport(
         one_edge_no_common_v2_neighbor=prop_a,
@@ -153,11 +144,11 @@ def partition_dump(g: Graph, p: GoodPartition) -> str:
             "n": g.n,
             "t": str(p.t),
             "s": p.s,
-            "v11": sorted(p.v11),
-            "v12": sorted(p.v12),
-            "v21": sorted(p.v21),
-            "v22": sorted(p.v22),
-            "x": sorted(p.x),
+            "v11": list(bits(p.v11)),
+            "v12": list(bits(p.v12)),
+            "v21": list(bits(p.v21)),
+            "v22": list(bits(p.v22)),
+            "x": list(bits(p.x)),
             "pairing": [list(e) for e in p.pairing],
             "fm": [[u, v, units] for (u, v), units in p.fm.items()],
         },

@@ -111,17 +111,15 @@ def run_structure_suite(graphs: Iterable[Graph]) -> SuiteResult:
         comps = f.half_support_components()
         if any(kind != "cycle" or len(vs) % 2 == 0 for kind, vs in comps):
             failures.append(f"{key}: half support is not disjoint odd cycles")
-        support = f.support_mask()
-        for v in bits(support):
-            if f.load_units(v) != 2:
+        for v in bits(f.support):
+            if f.loads[v] != 2:
                 failures.append(f"{key}: support vertex {v} not saturated")
                 break
-        unweighted = ((1 << g.n) - 1) & ~support
-        for v in bits(unweighted):
-            if g.row(v) & unweighted:
+        for v in bits(f.unweighted):
+            if g.row(v) & f.unweighted:
                 failures.append(f"{key}: unweighted side not independent")
                 break
-            if g.row(v) & ~f.full_mask():
+            if g.row(v) & ~f.full:
                 failures.append(f"{key}: unweighted vertex {v} sees a non-full vertex")
                 break
     return SuiteResult("structure", checked, tuple(failures))

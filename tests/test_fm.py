@@ -200,7 +200,7 @@ def test_fm_validation():
     f = FractionalMatching(g, {(1, 0): 2, (2, 3): 0})
     assert f.items() == [((0, 1), 2)]
     assert f.value == HalfInt(2)
-    assert f.load_units(0) == 2 and f.load_units(2) == 0
+    assert f.loads[0] == 2 and f.loads[2] == 0
 
 
 @pytest.mark.parametrize("weights, message", [
@@ -219,13 +219,14 @@ def test_fm_derived_facts():
     g = disjoint_union(cycle(3), complete(2), complete(1))
     f = FractionalMatching(g, {(0, 1): 1, (1, 2): 1, (0, 2): 1, (4, 3): 2})
     assert f.value == HalfInt(5)
-    assert f.full_mask() == 0b011000
-    assert f.half_mask() == 0b000111
-    assert f.support_mask() == 0b011111
-    assert f.unweighted_mask() == 0b100000
+    assert f.full == 0b011000
+    assert f.half == 0b000111
+    assert f.support == 0b011111
+    assert f.unweighted == 0b100000
     assert f.one_edges() == [(3, 4)]
-    assert [f.partner(v) for v in range(6)] == [-1, -1, -1, 4, 3, -1]
-    assert [f.half_row(v) for v in range(6)] == [0b110, 0b101, 0b011, 0, 0, 0]
+    assert f.loads == (2, 2, 2, 2, 2, 0)
+    assert f.partners == (-1, -1, -1, 4, 3, -1)
+    assert f.half_rows == (0b110, 0b101, 0b011, 0, 0, 0)
 
 
 def test_half_support_components_orders():
@@ -281,11 +282,9 @@ def test_canonical_shape_exhaustive_to_n5():
             assert f.value.units == alpha2(g)
             for kind, order in f.half_support_components():
                 assert kind == "cycle" and len(order) % 2 == 1
-            unweighted = f.unweighted_mask()
-            full = f.full_mask()
-            for v in bits(unweighted):
-                assert g.row(v) & unweighted == 0
-                assert g.row(v) & ~full == 0
+            for v in bits(f.unweighted):
+                assert g.row(v) & f.unweighted == 0
+                assert g.row(v) & ~f.full == 0
 
 
 def test_extract_on_larger_random_graphs():

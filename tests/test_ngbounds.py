@@ -25,7 +25,7 @@ from fracmatch.bounds import (
     empty_stats,
 )
 from fracmatch.families import FamilyTag
-from fracmatch.fm import alpha2
+from fracmatch.fm import FractionalMatching, alpha2
 from fracmatch.generators import (
     add_isolates,
     complete,
@@ -35,8 +35,9 @@ from fracmatch.generators import (
     k2pql,
     star,
 )
-from fracmatch.graph import Graph
+from fracmatch.graph import Graph, bits
 from fracmatch.ngbounds import applicable_rules, nearquarter_window
+from fracmatch.partition import GoodPartition
 from fracmatch.selftest import branch_corpus, corpus_with_relabelings
 
 
@@ -241,6 +242,21 @@ def test_plus_one_pendant_triangle():
     check_build(g, fm, desc)
 
 
+def test_plus_one_partner_branch_rejects_a_vertex_without_partner():
+    """A hand-built partition whose v12 is a half triangle: the partner
+    branch meets a v12 vertex with no 1-edge partner (-1) and must raise."""
+    # v11 = {0,1,2} and v12 = {3,4,5} are half triangles; v11 sees all of
+    # 6..11 and nothing of v12, so the first two searches find nothing.
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    edges += [(u, w) for u in range(3) for w in range(6, 12)]
+    g = Graph.from_edges(12, edges)
+    halves = {(0, 1): 1, (1, 2): 1, (0, 2): 1, (3, 4): 1, (4, 5): 1, (3, 5): 1}
+    p = GoodPartition(FractionalMatching(g, halves), ((0, 6), (1, 7), (2, 8)))
+    assert applicable_rules(g, p)[-1] == "plus_one"
+    with pytest.raises(InternalInconsistencyError, match="partner bookkeeping"):
+        construct_complement_fm(g, p, rule="plus_one")
+
+
 def test_plus_one_requires_tight_pairing():
     g = k2pql(3, 3, 0)
     p = good_partition(g)
@@ -422,8 +438,8 @@ def test_nearquarter_p2_guard_raises():
     g = dict(branch_corpus())["nq_p2_r0"]
     p = good_partition(g)
     assert construct_complement_fm_nearquarter(g, p)[1].case == "p2_r0"
-    w, w1 = next(e for e in p.fm.one_edges() if e[0] in p.v12 and e[1] in p.v12)
-    x = min(p.v21)
+    w, w1 = next((a, b) for a, b in p.fm.one_edges() if p.v12 >> a & 1 and p.v12 >> b & 1)
+    x = min(bits(p.v21))
     bad = Graph.from_edges(g.n, list(g.edges()) + [(x, w), (x, w1)])
     with pytest.raises(InternalInconsistencyError, match="both ends"):
         construct_complement_fm_nearquarter(bad, p)

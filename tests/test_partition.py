@@ -36,11 +36,11 @@ def all_graphs(n):
 def test_star_partition():
     g = star(8)
     p = good_partition(g)
-    assert p.v11 == frozenset({0})
-    assert p.v12 == frozenset({1})
-    assert p.v21 == frozenset({2})
-    assert p.v22 == frozenset({3, 4, 5, 6, 7})
-    assert p.x == frozenset({1})
+    assert p.v11 == 0b1
+    assert p.v12 == 0b10
+    assert p.v21 == 0b100
+    assert p.v22 == 0b11111000
+    assert p.x == 0b10
     assert p.s == 1
     assert p.t == HalfInt(2)
     assert p.pairing == ((0, 2),)
@@ -50,9 +50,9 @@ def test_star_partition():
 def test_c5_partition():
     g = cycle(5)
     p = good_partition(g)
-    assert p.unweighted_side == frozenset()
+    assert p.fm.unweighted == 0
     assert p.s == 0
-    assert p.x == frozenset()
+    assert p.x == 0
     assert p.t == HalfInt(5)
     assert verify_partition(g, p).all_ok()
 
@@ -60,16 +60,16 @@ def test_c5_partition():
 def test_two_k2_with_isolates():
     g = add_isolates(disjoint_union(complete(2), complete(2)), 4)
     p = good_partition(g)
-    assert p.support_side == frozenset(range(4))
+    assert p.fm.support == 0b1111
     assert p.s == 0
-    assert p.v22 == frozenset(range(4, 8))
+    assert p.v22 == 0b11110000
 
 
 def test_double_star_partition():
     g = k2pql(3, 3, 0)
     p = good_partition(g)
     assert p.s == 2
-    assert p.v11 == frozenset({0, 1})
+    assert p.v11 == 0b11
     assert p.x == p.v12
     assert verify_partition(g, p).all_ok()
 
@@ -80,15 +80,15 @@ def test_exhaustive_small_orders():
             p = good_partition(g)
             check_partition_structure(g, p)
             assert verify_partition(g, p).all_ok(), g
-            assert len(p.v12) == p.t.units - p.s
-            assert len(p.v22) == g.n - p.t.units - p.s
+            assert p.v12.bit_count() == p.t.units - p.s
+            assert p.v22.bit_count() == g.n - p.t.units - p.s
             # the unweighted side is independent
-            v2 = p.unweighted_side
-            for v in v2:
-                assert all(w not in v2 for w in bits(g.row(v)))
+            v2 = p.v21 | p.v22
+            for v in bits(v2):
+                assert g.row(v) & v2 == 0
             # matching restricted to the support side is fractionally perfect
-            for v in p.support_side:
-                assert p.fm.load_units(v) == 2
+            for v in bits(p.v11 | p.v12):
+                assert p.fm.loads[v] == 2
 
 
 def test_dump_roundtrip():
@@ -127,10 +127,8 @@ def test_parts_are_read_off_matching_and_pairing():
     p = GoodPartition(FractionalMatching(g, {(0, 1): 2}), ((0, 2),))
     assert [f.name for f in dataclasses.fields(p)] == ["fm", "pairing"]
     assert p == good_partition(g)
-    assert (p.v11, p.v12, p.v21, p.v22, p.x) == (
-        frozenset({0}), frozenset({1}), frozenset({2}), frozenset(range(3, 8)), frozenset({1}),
-    )
-    assert {type(part) for part in (p.v11, p.v12, p.v21, p.v22, p.x)} == {frozenset}
+    assert (p.v11, p.v12, p.v21, p.v22, p.x) == (0b1, 0b10, 0b100, 0b11111000, 0b10)
+    assert {type(part) for part in (p.v11, p.v12, p.v21, p.v22, p.x)} == {int}
     assert (p.s, p.t) == (1, HalfInt(2))
 
 
@@ -147,7 +145,7 @@ def test_canonicalize_rebuilds_even_half_cycle():
     p = GoodPartition(f, ((0, 4),))
     check_partition_structure(g, p)
     # the paired vertex 0 has no 1-edge partner, so x is empty
-    assert (p.v11, p.v12, p.x) == (frozenset({0}), frozenset({1, 2, 3}), frozenset())
+    assert (p.v11, p.v12, p.x) == (0b1, 0b1110, 0)
     assert verify_partition(g, p).failures() == ["v11_all_full"]
     rebuilt = _build_partition(g, _canonicalize(f))
     check_partition_structure(g, rebuilt)
@@ -165,8 +163,22 @@ def test_property_b_sees_weight_inside_v11():
     for (a, b), ok in (((0, 1), False), ((2, 3), False), ((0, 2), True)):
         p = GoodPartition(f, ((a, 5), (b, 6)))
         check_partition_structure(g, p)
-        assert p.v11 == {a, b}
+        assert p.v11 == 1 << a | 1 << b
         assert verify_partition(g, p).v11_internal_edges_unweighted is ok
+
+
+def test_properties_d_and_e_see_edges_at_x():
+    """Property (d) fails exactly when two vertices of x are adjacent, and
+    (e) when a vertex of x sees the unweighted side."""
+    # 1-edges 0-1 and 2-3; 0 and 2 are paired with the unweighted 4 and 5
+    edges = [(0, 1), (2, 3), (0, 4), (2, 5)]
+    cases = [([], []), ([(1, 3)], ["x_independent"]), ([(1, 5)], ["no_edge_x_to_v2"])]
+    for extra, failures in cases:
+        g = Graph.from_edges(6, edges + extra)
+        p = GoodPartition(FractionalMatching(g, {(0, 1): 2, (2, 3): 2}), ((0, 4), (2, 5)))
+        check_partition_structure(g, p)
+        assert p.x == 0b1010
+        assert verify_partition(g, p).failures() == failures
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PropertyReport)])

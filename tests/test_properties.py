@@ -1,16 +1,23 @@
 """Property tests over drawn graphs. Every test is derandomized, so a run
 draws the same examples each time and Tier-1 stays deterministic."""
 
+import contextlib
+import io
+import operator
+import os
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracmatch.bounds import BOUND_NAMES
+from fracmatch.cli import main
 from fracmatch.fm import alpha2
-from fracmatch.graph import Graph
-from fracmatch.graph6 import emit_graph6
+from fracmatch.graph import Graph, bits, mask_of
+from fracmatch.graph6 import emit_edgelist, emit_graph6
 from fracmatch.harness import _batch_keys, _batch_rows, _sweep_task
 from fracmatch.ngbounds import sweep_with_rows
+from fracmatch.partition import good_partition
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -69,3 +76,40 @@ def test_kernel_row_equals_the_ng_sum_row(g, which):
     bits = slot_bits(g.n, [g.to_mask()])
     kernel = _sweep_task((g.n, lambda lo, hi: bits[lo:hi], which, False, 0, 1))
     assert kernel == sweep_with_rows([g], which)
+
+
+@PROPERTY
+@given(graphs(max_n=16))
+def test_good_partition_parts_are_vertex_masks(g):
+    p = good_partition(g)
+    sides = (p.v11, p.v12, p.v21, p.v22)
+    assert all(type(part) is int for part in (*sides, p.x))
+    # v11, v12, v21 and v22 split the vertices; x lies inside v12
+    assert sum(part.bit_count() for part in sides) == g.n
+    assert p.v11 | p.v12 | p.v21 | p.v22 == (1 << g.n) - 1
+    assert p.x & ~p.v12 == 0
+    assert p.v11.bit_count() == p.v21.bit_count() == p.s
+    assert (p.v11 | p.v12).bit_count() == p.t.units
+    assert p.x == mask_of(p.fm.partners[u] for u in bits(p.v11))
+
+
+G6_CHARS = "".join(map(chr, range(63, 127)))
+EDGE_LIST_CHARS = "0123456789 \t\n-+_"
+
+cli_texts = st.one_of(
+    st.text(G6_CHARS, max_size=12),
+    # a short-form header of order at most 12 makes well-formed graphs common
+    st.builds(operator.add, st.sampled_from(G6_CHARS[:13]), st.text(G6_CHARS, max_size=12)),
+    st.text(EDGE_LIST_CHARS, max_size=30),
+    graphs(max_n=12).map(emit_graph6),
+    graphs(max_n=12).map(emit_edgelist),
+)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(st.sampled_from(["alpha", "partition", "ngsum", "classify", "construct"]), cli_texts)
+def test_cli_exits_cleanly_on_any_graph_text(cmd, text):
+    """Any graph text, malformed or not, exits 0, 1 or 2 and never raises."""
+    assume(not text.startswith("-") and not os.path.exists(text))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([cmd, text]) in (0, 1, 2)
