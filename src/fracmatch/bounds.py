@@ -5,7 +5,7 @@ batch. It needs no graph, matching or family code, and no numpy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
@@ -91,16 +91,8 @@ class SweepStats:
         )
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "bound": self.which,
-            "total": self.total,
-            "applies": self.applies,
-            "satisfied": self.satisfied,
-            "equality": self.equality,
-            "characterization_match": self.characterization_match,
-            "violations": list(self.violations),
-            "unmatched_equalities": list(self.unmatched_equalities),
-        }
+        fields = asdict(self)
+        return {"bound": fields.pop("which"), **fields}
 
 
 CSV_HEADER = "graph6,n,alpha_g,alpha_gc,sum,bound,satisfied,equality,family"

@@ -303,10 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphFormatError, PreconditionError) as exc:
+    except (SystemExit2, GraphFormatError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -62,7 +62,8 @@ def ng_sum(g: Graph) -> BoundReport:
     gc = g.complement()
     a_g = alpha2(g)
     a_gc = alpha2(gc)
-    m_g, m_gc = g.edge_count(), gc.edge_count()
+    m_g = g.edge_count()
+    m_gc = n * (n - 1) // 2 - m_g
     g_free, gc_free = not g.isolated_vertices(), not gc.isolated_vertices()
     bounds = {
         which: bound_verdict(which, n, a_g, a_gc, m_g, m_gc, g_free, gc_free)

@@ -12,8 +12,8 @@ sweep numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Tuple
 
 from .bounds import MIN_STATED_ORDER
 from .bulk import bulk_alpha2
@@ -77,14 +77,15 @@ def run_oracle_suite(max_n: int = 5, oracle_edge_cap: int = 10) -> SuiteResult:
         table = bulk_alpha2(n)
         for mask, g in enumerate(enumerate_graphs(n)):
             checked += 1
-            key = emit_graph6(g)
             w = berge_deficiency(g)
             a2 = n - w.deficiency
             if int(table[mask]) != a2:
-                failures.append(f"{key}: bulk table says {int(table[mask])}, not {a2}")
+                failures.append(
+                    f"{emit_graph6(g)}: bulk table says {int(table[mask])}, not {a2}"
+                )
             if g.edge_count() <= oracle_edge_cap:
                 if oracle_alpha_exhaustive(g).units != a2:
-                    failures.append(f"{key}: exhaustive oracle disagrees")
+                    failures.append(f"{emit_graph6(g)}: exhaustive oracle disagrees")
     return SuiteResult("oracle", checked, tuple(failures))
 
 
@@ -100,27 +101,28 @@ def run_structure_suite(graphs: Iterable[Graph]) -> SuiteResult:
     failures: List[str] = []
     for g in graphs:
         checked += 1
-        key = emit_graph6(g)
         try:
             f = canonical_fm(g)
         except InternalInconsistencyError as exc:
-            failures.append(f"{key}: canonical matching failed: {exc}")
+            failures.append(f"{emit_graph6(g)}: canonical matching failed: {exc}")
             continue
         if any(units not in (1, 2) for _, units in f.items()):
-            failures.append(f"{key}: weight outside half/one")
+            failures.append(f"{emit_graph6(g)}: weight outside half/one")
         comps = f.half_support_components()
         if any(kind != "cycle" or len(vs) % 2 == 0 for kind, vs in comps):
-            failures.append(f"{key}: half support is not disjoint odd cycles")
+            failures.append(f"{emit_graph6(g)}: half support is not disjoint odd cycles")
         for v in bits(f.support):
             if f.loads[v] != 2:
-                failures.append(f"{key}: support vertex {v} not saturated")
+                failures.append(f"{emit_graph6(g)}: support vertex {v} not saturated")
                 break
         for v in bits(f.unweighted):
             if g.row(v) & f.unweighted:
-                failures.append(f"{key}: unweighted side not independent")
+                failures.append(f"{emit_graph6(g)}: unweighted side not independent")
                 break
             if g.row(v) & ~f.full:
-                failures.append(f"{key}: unweighted vertex {v} sees a non-full vertex")
+                failures.append(
+                    f"{emit_graph6(g)}: unweighted vertex {v} sees a non-full vertex"
+                )
                 break
     return SuiteResult("structure", checked, tuple(failures))
 
@@ -177,11 +179,10 @@ def run_construction_suite(
     coverage: Dict[Tuple[str, str], int] = {}
     for g in graphs:
         n = g.n
-        key = emit_graph6(g)
         try:
             p = good_partition(g)
         except Exception as exc:
-            failures.append(f"{key}: partition failed: {exc}")
+            failures.append(f"{emit_graph6(g)}: partition failed: {exc}")
             continue
         probes = list(applicable_rules(g, p))
         if p.t.units in nearquarter_window(n):
@@ -195,10 +196,10 @@ def run_construction_suite(
                     f, case = construct_complement_fm(g, p, rule)
             except (PreconditionError, InternalInconsistencyError) as exc:
                 if n >= MIN_STATED_ORDER:
-                    failures.append(f"{key} {rule}: {exc}")
+                    failures.append(f"{emit_graph6(g)} {rule}: {exc}")
                 continue
             if f.value.units > alpha2(f.host):
-                failures.append(f"{key} {rule}: value {f.value} beats optimum")
+                failures.append(f"{emit_graph6(g)} {rule}: value {f.value} beats optimum")
             coverage[(case.rule, case.case)] = coverage.get((case.rule, case.case), 0) + 1
     return SuiteResult("construction", checked, tuple(failures)), coverage
 
@@ -207,21 +208,13 @@ def run_construction_suite(
 # Targeted corpus hitting every construction branch at order >= 28.
 
 
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def shuffled(g: Graph, seed: int) -> Graph:
     """Deterministic Fisher-Yates relabeling driven by the sweep PRNG."""
     perm = list(range(g.n))
     for i in range(g.n - 1, 0, -1):
         j = splitmix64(seed + (i + 1) * GOLDEN) % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    return relabel(g, perm)
-
-
-def _union(parts: Sequence[Graph]) -> Graph:
-    return disjoint_union(parts[0], *parts[1:])
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def _hub_clique(n_hubs: int, m_edges, extra_edges) -> Graph:
@@ -248,14 +241,14 @@ def branch_corpus() -> List[Tuple[str, Graph]]:
     all_m_edges = [(i, v) for i in hubs for v in m if v != 7 + i]
     all_free_edges = [(i, v) for i in hubs for v in free]
     corpus: List[Tuple[str, Graph]] = [
-        ("base_r0", add_isolates(_union([k2] * 7), 14)),
-        ("base_r1_s0", add_isolates(_union([k2] * 7), 15)),
-        ("base_r1_s1", add_isolates(_union([star(3)] + [k2] * 6), 13)),
-        ("base_r2", add_isolates(_union([k2] * 7), 16)),
-        ("base_r3plus", add_isolates(_union([k2] * 7), 17)),
+        ("base_r0", add_isolates(disjoint_union(*[k2] * 7), 14)),
+        ("base_r1_s0", add_isolates(disjoint_union(*[k2] * 7), 15)),
+        ("base_r1_s1", add_isolates(disjoint_union(star(3), *[k2] * 6), 13)),
+        ("base_r2", add_isolates(disjoint_union(*[k2] * 7), 16)),
+        ("base_r3plus", add_isolates(disjoint_union(*[k2] * 7), 17)),
         ("base_r3plus_star", star(29)),
-        ("ph_v12_r2", _union([star(16)] + [k2] * 6)),
-        ("ph_v12_r3plus", _union([star(4)] * 7)),
+        ("ph_v12_r2", disjoint_union(star(16), *[k2] * 6)),
+        ("ph_v12_r3plus", disjoint_union(*[star(4)] * 7)),
         (
             "ph_v11",
             Graph.from_edges(
@@ -273,30 +266,30 @@ def branch_corpus() -> List[Tuple[str, Graph]]:
                 [(0, v) for v in free if v != 27],
             ),
         ),
-        ("nq_s_small_s0", add_isolates(_union([cycle(3)] + [k2] * 6), 14)),
-        ("nq_s_small_s1", add_isolates(_union([star(3)] + [k2] * 7), 11)),
+        ("nq_s_small_s0", add_isolates(disjoint_union(cycle(3), *[k2] * 6), 14)),
+        ("nq_s_small_s1", add_isolates(disjoint_union(star(3), *[k2] * 7), 11)),
         (
             "nq_halfcycle_r0",
-            add_isolates(_union([cycle(5)] + [star(3)] * 2 + [k2] * 4), 11),
+            add_isolates(disjoint_union(cycle(5), star(3), star(3), *[k2] * 4), 11),
         ),
         (
             "nq_halfcycle_r1",
-            add_isolates(_union([cycle(5)] + [star(3)] * 2 + [k2] * 4), 12),
+            add_isolates(disjoint_union(cycle(5), star(3), star(3), *[k2] * 4), 12),
         ),
         (
             "nq_halfcycle_r2",
-            add_isolates(_union([cycle(5)] + [star(3)] * 2 + [k2] * 3), 11),
+            add_isolates(disjoint_union(cycle(5), star(3), star(3), *[k2] * 3), 11),
         ),
         (
             "nq_halfcycle_r3plus",
-            add_isolates(_union([cycle(5)] + [star(3)] * 2 + [k2] * 3), 12),
+            add_isolates(disjoint_union(cycle(5), star(3), star(3), *[k2] * 3), 12),
         ),
-        ("nq_s_equals_t", add_isolates(_union([star(3)] * 8), 4)),
-        ("nq_p1", add_isolates(_union([star(3)] * 7 + [k2]), 5)),
-        ("nq_p2_r0", add_isolates(_union([star(3)] * 2 + [k2] * 6), 10)),
-        ("nq_p2_r1", add_isolates(_union([star(3)] * 2 + [k2] * 6), 11)),
-        ("nq_p2_r2", add_isolates(_union([star(3)] * 2 + [k2] * 6), 12)),
-        ("nq_p2_r3plus", add_isolates(_union([star(3)] * 6 + [k2] * 2), 6)),
+        ("nq_s_equals_t", add_isolates(disjoint_union(*[star(3)] * 8), 4)),
+        ("nq_p1", add_isolates(disjoint_union(*[star(3)] * 7, k2), 5)),
+        ("nq_p2_r0", add_isolates(disjoint_union(star(3), star(3), *[k2] * 6), 10)),
+        ("nq_p2_r1", add_isolates(disjoint_union(star(3), star(3), *[k2] * 6), 11)),
+        ("nq_p2_r2", add_isolates(disjoint_union(star(3), star(3), *[k2] * 6), 12)),
+        ("nq_p2_r3plus", add_isolates(disjoint_union(*[star(3)] * 6, k2, k2), 6)),
     ]
     return corpus
 
@@ -319,17 +312,17 @@ def _window_mixes(n: int, t2: int) -> List[Tuple[str, Graph]]:
         k = t2 // 2
         if k >= 3 and n - 3 * k >= 0:
             mixes.append(
-                ("s_equals_t", add_isolates(_union([star(3)] * k), n - 3 * k))
+                ("s_equals_t", add_isolates(disjoint_union(*[star(3)] * k), n - 3 * k))
             )
         m = (t2 - 4) // 2
         if m >= 2 and n - 6 - 2 * m >= 0:
             mixes.append(
-                ("p2", add_isolates(_union([star(3)] * 2 + [k2] * m), n - 6 - 2 * m))
+                ("p2", add_isolates(disjoint_union(star(3), star(3), *[k2] * m), n - 6 - 2 * m))
             )
         k = (t2 - 2) // 2
         if k >= 2 and n - 3 * k - 2 >= 0:
             mixes.append(
-                ("p1", add_isolates(_union([star(3)] * k + [k2]), n - 3 * k - 2))
+                ("p1", add_isolates(disjoint_union(*[star(3)] * k, k2), n - 3 * k - 2))
             )
     else:
         m = (t2 - 9) // 2
@@ -338,7 +331,7 @@ def _window_mixes(n: int, t2: int) -> List[Tuple[str, Graph]]:
                 (
                     "halfcycle",
                     add_isolates(
-                        _union([cycle(5), star(3), star(3)] + [k2] * m),
+                        disjoint_union(cycle(5), star(3), star(3), *[k2] * m),
                         n - 11 - 2 * m,
                     ),
                 )
@@ -346,7 +339,7 @@ def _window_mixes(n: int, t2: int) -> List[Tuple[str, Graph]]:
         m = (t2 - 3) // 2
         if m >= 0 and n - 3 - 2 * m >= 0:
             mixes.append(
-                ("s_small", add_isolates(_union([cycle(3)] + [k2] * m), n - 3 - 2 * m))
+                ("s_small", add_isolates(disjoint_union(cycle(3), *[k2] * m), n - 3 - 2 * m))
             )
     return mixes
 
@@ -439,16 +432,9 @@ def run_all(quick: bool = True) -> List[SuiteResult]:
     construction, coverage = run_construction_suite(
         small + corpus_with_relabelings(copies=1 if quick else 3)
     )
-    results.append(construction)
-    expected = expected_cases()
-    missing = sorted(expected - set(coverage))
-    if missing:
-        construction = SuiteResult(
-            construction.name,
-            construction.checked,
-            construction.failures + tuple(f"case never fired: {r}/{c}" for r, c in missing),
-        )
-        results[-1] = construction
+    missing = sorted(expected_cases() - set(coverage))
+    never_fired = tuple(f"case never fired: {r}/{c}" for r, c in missing)
+    results.append(replace(construction, failures=construction.failures + never_fired))
     return results
 
 

@@ -3,8 +3,10 @@
 import pytest
 
 from fracmatch import cli, selftest
-from fracmatch.errors import InternalInconsistencyError
+from fracmatch.errors import InternalInconsistencyError, PreconditionError
 from fracmatch.fm import alpha2
+from fracmatch.graph6 import emit_graph6
+from fracmatch.halfint import HalfInt
 from fracmatch.harness import SampleSpec, enumerate_graphs, sample_graphs
 from fracmatch.ngbounds import (
     construct_complement_fm,
@@ -62,6 +64,52 @@ def test_structure_suite_reports_failed_certificate(monkeypatch):
         "A?: canonical matching failed: injected",
         "A_: canonical matching failed: injected",
     )
+
+
+def test_oracle_suite_reports_disagreement(monkeypatch):
+    monkeypatch.setattr(selftest, "oracle_alpha_exhaustive", lambda g: HalfInt(99))
+    result = run_oracle_suite(max_n=2)
+    assert result.checked == 4
+    assert result.failures == (
+        "?: exhaustive oracle disagrees",
+        "@: exhaustive oracle disagrees",
+        "A?: exhaustive oracle disagrees",
+        "A_: exhaustive oracle disagrees",
+    )
+
+
+def test_construction_suite_reports_failed_probe(monkeypatch):
+    # From MIN_STATED_ORDER on, a construction error is a failure naming
+    # the graph and the rule; the graph's other probes still run.
+    g = dict(branch_corpus())["ph_v12_r2"]
+    assert g.n == 28
+
+    def broken(g, p, rule):
+        if rule == "plus_half":
+            raise PreconditionError("injected")
+        return construct_complement_fm(g, p, rule)
+
+    monkeypatch.setattr(selftest, "construct_complement_fm", broken)
+    result, coverage = run_construction_suite([g])
+    assert result.checked == 2
+    assert result.failures == (f"{emit_graph6(g)} plus_half: injected",)
+    assert coverage == {("base", "r1_s1"): 1}
+
+
+def test_clean_suites_emit_no_graph6(monkeypatch):
+    # A graph is named only in a failure text, so a clean run never
+    # encodes one.
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return emit_graph6(g)
+
+    monkeypatch.setattr(selftest, "emit_graph6", counting)
+    assert run_oracle_suite(max_n=4).ok
+    assert run_structure_suite(list(enumerate_graphs(4))).ok
+    assert run_construction_suite(corpus_with_relabelings(copies=0))[0].ok
+    assert calls == []
 
 
 def test_every_failure_is_counted_and_the_printout_is_capped(monkeypatch, capsys):
