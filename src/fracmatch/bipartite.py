@@ -35,7 +35,8 @@ def hopcroft_karp(rows: Sequence[int], n_right: int) -> BipartiteMatching:
     from each free left vertex in turn by depth-first search over
     rows[u] & (free right | right vertices whose partner sits one layer
     deeper). The cover is read off the last layering: the unreached left
-    vertices and the reached right vertices.
+    vertices and the reached right vertices. The phases and the cover live
+    in _phases, which a caller that already holds a matching can call.
     """
     nl = len(rows)
     if rows and (min(rows) < 0 or max(rows) >> n_right):
@@ -54,7 +55,17 @@ def hopcroft_karp(rows: Sequence[int], n_right: int) -> BipartiteMatching:
             free_r ^= b
         else:
             free_l |= 1 << u
+    return _phases(rows, n_right, pair_l, pair_r, free_r, free_l)
 
+
+def _phases(
+    rows: Sequence[int], n_right: int, pair_l: List[int], pair_r: List[int],
+    free_r: int, free_l: int,
+) -> BipartiteMatching:
+    """Hopcroft-Karp's phases and certificate, continued from any matching:
+    pair_l and pair_r (updated in place) pair left and right vertices, and
+    free_r and free_l are the masks of the unpaired ones."""
+    nl = len(rows)
     # layer_r[d]: matched right vertices whose partner sits at layer d, kept
     # current as the phase augments (partner moves) and dead-ends (drops).
     layer_r: List[int] = []

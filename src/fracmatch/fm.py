@@ -161,9 +161,13 @@ class BergeWitness:
 
 
 def deficiency_of(g: Graph, s_set: Iterable[int]) -> int:
-    """i(G-S) - |S|: a vertex outside S is isolated in G-S unless some
-    vertex outside S reaches it."""
-    s_mask = mask_of(s_set)
+    """i(G-S) - |S| of a vertex set S."""
+    return _deficiency(g, mask_of(s_set))
+
+
+def _deficiency(g: Graph, s_mask: int) -> int:
+    """i(G-S) - |S| of the mask of S: a vertex outside S is isolated in G-S
+    unless some vertex outside S reaches it."""
     rest = ((1 << g.n) - 1) & ~s_mask
     reached = 0
     for v in bits(rest):
@@ -192,13 +196,13 @@ def berge_deficiency(g: Graph) -> BergeWitness:
     sides of the double-cover König cover, revalidated by recount against
     n - 2*alpha'."""
     m = _solved(g)
-    s_set = frozenset(bits(m.cover_left & m.cover_right))
-    d = deficiency_of(g, s_set)
+    s_mask = m.cover_left & m.cover_right
+    d = _deficiency(g, s_mask)
     if d != g.n - m.size:
         raise InternalInconsistencyError(
             f"cover-derived witness has deficiency {d}, expected {g.n - m.size}"
         )
-    return BergeWitness(s_set, d)
+    return BergeWitness(frozenset(bits(s_mask)), d)
 
 
 def extract_fm(g: Graph) -> FractionalMatching:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Iterator, List, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+
+from .errors import InternalInconsistencyError
 
 MAX_VERTICES = 64
 
@@ -24,6 +26,30 @@ def mask_of(vs: Iterable[int]) -> int:
     for v in vs:
         m |= 1 << v
     return m
+
+
+def check_matching(rows: Sequence[int], pair_left: Sequence[int], size: int) -> None:
+    """Check the primal side of a matching size: pair_left[u] is -1 or a
+    right vertex v with rows[u] >> v & 1, no v is taken twice, and size
+    left vertices are paired. Raises InternalInconsistencyError otherwise.
+    The solver's cover proves the matching number is at most size; this
+    proves it is at least size."""
+    if len(pair_left) != len(rows):
+        raise InternalInconsistencyError(
+            f"{len(pair_left)} pairs for {len(rows)} left vertices"
+        )
+    taken = count = 0
+    for u, v in enumerate(pair_left):
+        if v == -1:
+            continue
+        if v < 0 or not rows[u] >> v & 1:
+            raise InternalInconsistencyError(f"pair ({u}, {v}) is not an edge")
+        if taken >> v & 1:
+            raise InternalInconsistencyError(f"right vertex {v} is paired twice")
+        taken |= 1 << v
+        count += 1
+    if count != size:
+        raise InternalInconsistencyError(f"{count} pairs, but size {size}")
 
 
 @lru_cache(maxsize=None)

@@ -15,14 +15,19 @@ and the memory a batch takes is bounded by its fixed size whatever the
 population.
 
 A sweep also takes each batch's complement rows, edge counts and
-isolate-free flags from those arrays, and works per batch: two
-hopcroft_karp solves per graph on int rows, then one verdict
-(bounds.bound_verdict) and one tally of counts and CSV rows (bounds.tally)
-per batch, on columns. A Graph is built only when an equality needs
-classifying. An enumeration holds every complement too, so it runs over
-the masks whose top slot bit is clear and reads two rows, the graph's and
-its complement's, off each pair of solves: each enumerated graph costs
-one solve, shared with its complement.
+isolate-free flags from those arrays, and works per batch: one batch
+solve per side (_batch_alpha2), then one verdict (bounds.bound_verdict)
+and one tally of counts and CSV rows (bounds.tally) per batch, on
+columns. The batch solve runs Hopcroft-Karp's greedy phase on all the
+side's rows at once in numpy; a graph whose greedy matching pairs every
+non-isolated vertex is done, and only the graphs left short get a
+length-3 pass and then, if still short, Hopcroft-Karp's phases, in
+Python. Every matching the solve ends with passes a primal check in
+numpy before its size is read. A Graph is built only when an equality
+needs classifying. An enumeration holds every complement too, so it runs
+over the masks whose top slot bit is clear and reads two rows, the
+graph's and its complement's, off each pair of solves: each enumerated
+graph costs one solve, shared with its complement.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .bipartite import hopcroft_karp
+from .bipartite import _phases
 from .bounds import SweepStats, bound_verdict, check_sum_order, empty_stats, tally
-from .errors import PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError
 from .graph import Graph, edge_slots
-from .graph6 import _header
+from .graph6 import _header, emit_graph6
 
 GOLDEN = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
@@ -277,6 +282,109 @@ def sample_graphs(spec: SampleSpec, lo: int = 0, hi: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
+# Batch solves: 2*alpha' of each row of a (B, n) uint64 batch of graphs.
+
+
+def _batch_greedy(rows: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Hopcroft-Karp's greedy phase on every graph of the batch at once, in
+    n vector steps: left vertex u, ascending, takes its lowest free right
+    neighbour. Returns the (B, n) pair array (-1 for a free left vertex)
+    and each graph's mask of free right vertices."""
+    free_r = np.full(len(rows), (1 << n) - 1, dtype=np.uint64)
+    taken = np.empty((n, len(rows)), dtype=np.uint64)
+    for u, row in enumerate(rows.T):
+        c = row & free_r
+        np.bitwise_and(c, -c, out=taken[u])
+        free_r ^= taken[u]
+    # frexp reads a power of two's exponent exactly, and gives 0 for 0.
+    return np.frexp(taken.T)[1] - 1, free_r
+
+
+def _length3(rows: List[int], pair_l: List[int], pair_r: List[int],
+             free_r: int, free_l: int) -> Tuple[int, int]:
+    """One pass of length-3 augmentations over the free left vertices, in
+    place: u takes a neighbour v whose partner w moves to a free right
+    neighbour x. Returns the new free masks. After the greedy phase every
+    neighbour of a free left vertex is paired, so v needs no test."""
+    roots = free_l
+    while roots:
+        a = roots & -roots
+        roots ^= a
+        u = a.bit_length() - 1
+        cand = rows[u]
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            v = b.bit_length() - 1
+            w = pair_r[v]
+            c = rows[w] & free_r
+            if c:
+                c &= -c
+                free_r ^= c
+                x = c.bit_length() - 1
+                pair_l[w], pair_r[x] = x, w
+                pair_l[u], pair_r[v] = v, u
+                free_l ^= a
+                break
+    return free_r, free_l
+
+
+def _check_batch(rows: np.ndarray, pair: np.ndarray, size: np.ndarray, n: int) -> None:
+    """The primal check of a batch solve, per graph: each pair is -1 or a
+    right vertex adjacent to its left one, no right vertex is paired twice,
+    and size left vertices are paired. With the solve's cover this proves
+    every size exact. Raises InternalInconsistencyError naming the first
+    graph that fails."""
+    paired = pair >= 0
+    ok = ((pair >= -1) & (pair < n)).all(axis=1)
+    shift = np.clip(pair, 0, 63).astype(np.uint64)
+    bit = np.where(paired, np.left_shift(np.uint64(1), shift), np.uint64(0))
+    union = np.bitwise_or.reduce(bit, axis=1)
+    ok &= ((rows & bit) == bit).all(axis=1)
+    ok &= paired.sum(axis=1) == size
+    # The union has one bit per distinct right vertex.
+    ok &= np.unpackbits(union.view(np.uint8)).reshape(len(rows), 64).sum(axis=1) == size
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise InternalInconsistencyError(
+            f"{emit_graph6(Graph(n, rows[i].tolist()))}: "
+            f"matching of size {int(size[i])} fails its primal check"
+        )
+
+
+def _batch_alpha2(rows: np.ndarray, n: int) -> List[int]:
+    """2*alpha' of each graph of a (B, n) uint64 batch of adjacency rows.
+    A graph with k non-isolated vertices has 2*alpha' <= k, since their
+    left copies cover the double cover; so a matching of k pairs settles
+    it. The batch greedy settles most dense graphs; the graphs it leaves
+    short get one length-3 pass, then Hopcroft-Karp's phases from there if
+    still short. Every result passes _check_batch."""
+    pair, free_r = _batch_greedy(rows, n)
+    size = (pair >= 0).sum(axis=1)
+    short = np.flatnonzero(size < (rows != 0).sum(axis=1))
+    if len(short):
+        sub = pair[short]
+        pair_r = np.full(sub.shape, -1, dtype=sub.dtype)
+        gi, u = np.nonzero(sub >= 0)
+        pair_r[gi, sub[gi, u]] = u
+        place = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+        free_l = np.bitwise_or.reduce(np.where(sub < 0, place, np.uint64(0)), axis=1)
+        pair_l, sizes = sub.tolist(), []
+        for r, pl, pr, fr, fl in zip(
+            map(np.ndarray.tolist, rows[short]), pair_l, pair_r.tolist(),
+            free_r[short].tolist(), free_l.tolist(),
+        ):
+            fr, fl = _length3(r, pl, pr, fr, fl)
+            s = n - fl.bit_count()
+            if s < n - r.count(0):
+                s = _phases(r, n, pl, pr, fr, fl).size
+            sizes.append(s)
+        pair[short], size[short] = pair_l, sizes
+    _check_batch(rows, pair, size, n)
+    return size.tolist()
+
+
+# ---------------------------------------------------------------------------
 # Sweep execution with optional process fan-out.
 
 
@@ -325,8 +433,7 @@ def _sweep_task(args) -> Tuple[SweepStats, List[str]]:
         gc_rows = ~g_rows & np.array([(1 << n) - 1 ^ 1 << v for v in range(n)], dtype=np.uint64)
         slots, m = bits.shape[1], bits.sum(axis=1)
         g_free, gc_free = (g_rows != 0).all(axis=1), (gc_rows != 0).all(axis=1)
-        a_g = [hopcroft_karp(g_rows[i].tolist(), n).size for i in range(len(bits))]
-        a_gc = [hopcroft_karp(gc_rows[i].tolist(), n).size for i in range(len(bits))]
+        a_g, a_gc = _batch_alpha2(g_rows, n), _batch_alpha2(gc_rows, n)
         sides = [(_batch_keys(n, bits), a_g, a_gc, m, g_free, gc_free, g_rows)]
         if paired:
             sides.append((_batch_keys(n, bits ^ 1), a_gc, a_g, slots - m, gc_free, g_free, gc_rows))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from fracmatch import families, harness, ngbounds
-from fracmatch.bipartite import hopcroft_karp
 from fracmatch.bounds import BOUND_NAMES, empty_stats
 from fracmatch.bulk import bulk_alpha2
 from fracmatch.errors import PreconditionError
@@ -325,15 +324,15 @@ def test_paired_kernel_matches_unpaired_on_unmatched(monkeypatch):
 
 
 def test_enumerated_sweep_solves_each_graph_once(monkeypatch):
-    calls = []
+    solved = []
 
-    def counting(rows, n_right):
-        calls.append(n_right)
-        return hopcroft_karp(rows, n_right)
+    def counting(rows, n, solve=harness._batch_alpha2):
+        solved.append(len(rows))
+        return solve(rows, n)
 
-    monkeypatch.setattr(harness, "hopcroft_karp", counting)
+    monkeypatch.setattr(harness, "_batch_alpha2", counting)
     stats, _ = run_sweep("basic", enumerate_n=5, workers=1)
-    assert len(calls) == stats.total == enumeration_count(5)
+    assert sum(solved) == stats.total == enumeration_count(5)
 
 
 @pytest.mark.parametrize("n", [0, 1])
