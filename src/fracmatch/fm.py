@@ -5,9 +5,11 @@ weight 1 <-> 2 units). The matching number is half the maximum matching of
 the bipartite double cover, whose left rows are the graph's own adjacency
 rows. One Hopcroft-Karp solve per Graph, kept on it and read by alpha2,
 berge_deficiency and extract_fm, gives the value, the matching and a König
-cover; the cover certifies the value in the solver, and the vertices covered
-on both sides are a Berge witness S for the isolated-vertex deficiency
-formula max over S of i(G-S) - |S| = n - 2*alpha', checked by recount.
+cover. The cover bounds the value from above in the solver, the primal
+check (graph.check_matching) bounds it from below when the solve is made,
+and the vertices covered on both sides are a Berge witness S for the
+isolated-vertex deficiency formula max over S of i(G-S) - |S| =
+n - 2*alpha', checked by recount.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .bipartite import BipartiteMatching, hopcroft_karp
 from .errors import InternalInconsistencyError, PreconditionError
-from .graph import Graph, VertexSet, bits, mask_of
+from .graph import Graph, VertexSet, bits, check_matching, mask_of
 from .halfint import HalfInt
 
 Edge = Tuple[int, int]
@@ -176,9 +178,13 @@ def _deficiency(g: Graph, s_mask: int) -> int:
 
 
 def _solved(g: Graph) -> BipartiteMatching:
-    """The double-cover solve of g, made on first use and kept on g."""
+    """The double-cover solve of g, made on first use and kept on g. Its
+    pairing passes the primal check when made, so with the solver's cover
+    every reader gets a size proved from both sides."""
     if g._solve is None:
-        g._solve = hopcroft_karp(g.rows, g.n)
+        m = hopcroft_karp(g.rows, g.n)
+        check_matching(g.rows, m.pair_left, m.size)
+        g._solve = m
     return g._solve
 
 

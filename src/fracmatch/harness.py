@@ -21,13 +21,15 @@ and one tally of counts and CSV rows (bounds.tally) per batch, on
 columns. The batch solve runs Hopcroft-Karp's greedy phase on all the
 side's rows at once in numpy; a graph whose greedy matching pairs every
 non-isolated vertex is done, and only the graphs left short get a
-length-3 pass and then, if still short, Hopcroft-Karp's phases, in
-Python. Every matching the solve ends with passes a primal check in
-numpy before its size is read. A Graph is built only when an equality
-needs classifying. An enumeration holds every complement too, so it runs
-over the masks whose top slot bit is clear and reads two rows, the
-graph's and its complement's, off each pair of solves: each enumerated
-graph costs one solve, shared with its complement.
+length-3 pass and then, if still short, one depth-first augmenting
+search per free vertex (_augment), in Python. A graph still short after
+that has its size proved by a König cover (_check_cover). Every matching
+the solve ends with passes a primal check in numpy before its size is
+read. A Graph is built only when an equality needs classifying. An
+enumeration holds every complement too, so it runs over the masks whose
+top slot bit is clear and reads two rows, the graph's and its
+complement's, off each pair of solves: each enumerated graph costs one
+solve, shared with its complement.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .bipartite import _phases
 from .bounds import SweepStats, bound_verdict, check_sum_order, empty_stats, tally
 from .errors import InternalInconsistencyError, PreconditionError
 from .graph import Graph, edge_slots
@@ -329,6 +330,90 @@ def _length3(rows: List[int], pair_l: List[int], pair_r: List[int],
     return free_r, free_l
 
 
+def _augment(rows: List[int], pair_l: List[int], pair_r: List[int],
+             free_r: int, free_l: int) -> Tuple[int, int]:
+    """One depth-first augmenting search per free left vertex, ascending,
+    in place; returns the new free masks. At each left vertex the search
+    first takes a free right neighbour (the lookahead), and it marks the
+    right vertices it visits. The marks stay after a failed root, whose
+    reach holds no free right vertex, and are cleared after a success. A
+    failed root is not retried: a free vertex with no augmenting path never
+    gains one."""
+    seen = 0
+
+    def dfs(u: int) -> bool:
+        # u has no free right neighbour: a root's were all taken before the
+        # search, and a partner's are looked at before the search enters it.
+        nonlocal free_r, seen
+        cand = rows[u] & ~seen
+        seen |= cand
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            w = pair_r[b.bit_length() - 1]
+            c = rows[w] & free_r
+            if c:
+                c &= -c
+                free_r ^= c
+                x = c.bit_length() - 1
+                pair_l[w], pair_r[x] = x, w
+            elif not dfs(w):
+                continue
+            v = b.bit_length() - 1
+            pair_l[u], pair_r[v] = v, u
+            return True
+        return False
+
+    roots = free_l
+    while roots:
+        a = roots & -roots
+        roots ^= a
+        if dfs(a.bit_length() - 1):
+            free_l ^= a
+            seen = 0
+    return free_r, free_l
+
+
+def _check_cover(rows: List[int], pair_r: List[int], free_r: int, free_l: int) -> None:
+    """The dual check of a matching: the free left vertices' alternating
+    reach meets no free right vertex, and its unreached left vertices and
+    reached right vertices, a König cover, number the matching's size with
+    no edge escaping them. This proves the size maximum. Raises
+    InternalInconsistencyError naming the graph otherwise."""
+    nl = len(rows)
+    size = nl - free_l.bit_count()
+    frontier = reached_l = free_l
+    reached_r = 0
+    while frontier:
+        reach = 0
+        while frontier:
+            a = frontier & -frontier
+            reach |= rows[a.bit_length() - 1]
+            frontier ^= a
+        new = reach & ~reached_r
+        reached_r |= new
+        if new & free_r:
+            raise InternalInconsistencyError(
+                f"{emit_graph6(Graph(nl, rows))}: matching of size {size} has an augmenting path"
+            )
+        while new:
+            a = new & -new
+            frontier |= 1 << pair_r[a.bit_length() - 1]
+            new ^= a
+        reached_l |= frontier
+    cover = (((1 << nl) - 1) & ~reached_l).bit_count() + reached_r.bit_count()
+    escape = 0
+    while reached_l:
+        a = reached_l & -reached_l
+        escape |= rows[a.bit_length() - 1]
+        reached_l ^= a
+    if cover != size or escape & ~reached_r:
+        raise InternalInconsistencyError(
+            f"{emit_graph6(Graph(nl, rows))}: cover of size {cover} "
+            f"does not certify matching size {size}"
+        )
+
+
 def _check_batch(rows: np.ndarray, pair: np.ndarray, size: np.ndarray, n: int) -> None:
     """The primal check of a batch solve, per graph: each pair is -1 or a
     right vertex adjacent to its left one, no right vertex is paired twice,
@@ -357,8 +442,8 @@ def _batch_alpha2(rows: np.ndarray, n: int) -> List[int]:
     A graph with k non-isolated vertices has 2*alpha' <= k, since their
     left copies cover the double cover; so a matching of k pairs settles
     it. The batch greedy settles most dense graphs; the graphs it leaves
-    short get one length-3 pass, then Hopcroft-Karp's phases from there if
-    still short. Every result passes _check_batch."""
+    short get one length-3 pass, then, if still short, _augment; a size
+    still below k must pass _check_cover. Every result passes _check_batch."""
     pair, free_r = _batch_greedy(rows, n)
     size = (pair >= 0).sum(axis=1)
     short = np.flatnonzero(size < (rows != 0).sum(axis=1))
@@ -375,10 +460,12 @@ def _batch_alpha2(rows: np.ndarray, n: int) -> List[int]:
             free_r[short].tolist(), free_l.tolist(),
         ):
             fr, fl = _length3(r, pl, pr, fr, fl)
-            s = n - fl.bit_count()
-            if s < n - r.count(0):
-                s = _phases(r, n, pl, pr, fr, fl).size
-            sizes.append(s)
+            isolated = r.count(0)
+            if fl.bit_count() > isolated:
+                fr, fl = _augment(r, pl, pr, fr, fl)
+                if fl.bit_count() > isolated:
+                    _check_cover(r, pr, fr, fl)
+            sizes.append(n - fl.bit_count())
         pair[short], size[short] = pair_l, sizes
     _check_batch(rows, pair, size, n)
     return size.tolist()

@@ -1,9 +1,11 @@
 """The sweep's batch solve: 2*alpha' from a numpy greedy, one length-3 pass
-and Hopcroft-Karp's phases for the graphs they leave short, equal to
-hopcroft_karp on every graph of order at most 6 and on sampled batches of
-both sides, each path settling some graph; and the primal check behind
-every result, in its pure-Python reference and its batch form, rejecting
-tampered matchings and no real one."""
+and one augmenting search per free vertex for the graphs they leave short,
+equal to hopcroft_karp on every graph of order at most 6 and on sampled
+batches of both sides, each path settling some graph; the cover check
+behind every size the search leaves short, rejecting a matching that is
+not maximum; and the primal check behind every result, in its pure-Python
+reference and its batch form, rejecting tampered matchings and no real
+one."""
 
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from fracmatch.harness import (
     _batch_alpha2,
     _batch_rows,
     _check_batch,
+    _check_cover,
     _enumeration_bits,
     _sample_bits,
     enumeration_count,
@@ -82,9 +85,9 @@ def test_batch_solve_matches_hopcroft_karp_sampled(checked, n, p):
 
 
 def settled_by_path(monkeypatch, rows, n):
-    """How many graphs of the batch the greedy, the length-3 pass and
-    Hopcroft-Karp's phases each settle."""
-    calls = {"_length3": 0, "_phases": 0}
+    """How many graphs of the batch the greedy, the length-3 pass and the
+    augmenting search each settle."""
+    calls = {"_length3": 0, "_augment": 0}
 
     def counting(name):
         real = getattr(harness, name)
@@ -100,22 +103,44 @@ def settled_by_path(monkeypatch, rows, n):
     _batch_alpha2(rows, n)
     return {
         "greedy": len(rows) - calls["_length3"],
-        "length3": calls["_length3"] - calls["_phases"],
-        "phases": calls["_phases"],
+        "length3": calls["_length3"] - calls["_augment"],
+        "search": calls["_augment"],
     }
 
 
 def test_each_path_settles_some_graph(monkeypatch):
     # Dense sides end at the greedy; at odd n and p = 1/2 the greedy never
     # reaches k and the length-3 pass ends nearly every graph; sparse sides
-    # need the phases.
+    # need the search.
     dense, sparse = sampled_sides(30, Fraction(9, 10))
     odd, _ = sampled_sides(31, Fraction(1, 2))
     assert settled_by_path(monkeypatch, dense, 30)["greedy"] > 200
-    assert settled_by_path(monkeypatch, sparse, 30)["phases"] > 200
+    assert settled_by_path(monkeypatch, sparse, 30)["search"] > 200
     odd_paths = settled_by_path(monkeypatch, odd, 31)
     assert odd_paths["greedy"] == 0
     assert odd_paths["length3"] > 200
+
+
+def test_cover_check_rejects_a_matching_that_is_not_maximum(monkeypatch):
+    # A search that accepts no root leaves the length-3 matching, which on
+    # sparse sides is short of the maximum; its free vertices reach a free
+    # right vertex, so the cover check must raise and name the graph.
+    monkeypatch.setattr(harness, "_augment", lambda rows, pl, pr, fr, fl: (fr, fl))
+    sparse = sampled_sides(30, Fraction(1, 10))[0]
+    with pytest.raises(InternalInconsistencyError, match="has an augmenting path"):
+        _batch_alpha2(sparse, 30)
+
+
+def test_cover_check_names_the_graph():
+    # P4 = 0-1-2-3 with only the middle edge paired: free 0 reaches free 0.
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    rows = list(g.rows)
+    pair_r = [-1, 2, 1, -1]  # left 1 -> right 2, left 2 -> right 1
+    with pytest.raises(InternalInconsistencyError) as exc:
+        _check_cover(rows, pair_r, 0b1001, 0b1001)
+    assert str(exc.value).startswith(emit_graph6(g) + ": ")
+    # The maximum matching 0-1, 1-0, 2-3, 3-2 passes.
+    _check_cover(rows, [1, 0, 3, 2], 0, 0)
 
 
 def test_batch_solve_takes_a_batch_of_one_at_every_order():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fracmatch import fm, partition
+from fracmatch import fm, ngbounds, partition
 from fracmatch.errors import InternalInconsistencyError, PreconditionError
 from fracmatch.fm import (
     FractionalMatching,
@@ -180,6 +180,24 @@ def test_one_double_cover_solve_per_graph(monkeypatch, order):
     for name in order:
         READERS[name](twin)
     assert solves.count(g.rows) == 2
+
+
+@pytest.mark.parametrize("reader", [alpha2, ngbounds.ng_sum, berge_deficiency],
+                         ids=["alpha2", "ng_sum", "berge_deficiency"])
+def test_a_solve_that_pairs_a_non_edge_is_rejected(monkeypatch, reader):
+    # The solver's pairing is checked when the solve is made, so every
+    # reader of it sees the failure.
+    def tampered(rows, n_right, solve=fm.hopcroft_karp):
+        m = solve(rows, n_right)
+        u = next(u for u, v in enumerate(m.pair_left) if v != -1)
+        v = next(v for v in range(n_right) if not rows[u] >> v & 1 and v not in m.pair_left)
+        return m._replace(pair_left=m.pair_left[:u] + (v,) + m.pair_left[u + 1:])
+
+    monkeypatch.setattr(fm, "hopcroft_karp", tampered)
+    g = disjoint_union(path(2), path(3))
+    with pytest.raises(InternalInconsistencyError, match="not an edge"):
+        reader(g)
+    assert g._solve is None
 
 
 # --------------------------------------------------------------- container

@@ -272,6 +272,7 @@ def test_benchmark_identity_bindings():
 SWEEP_DEFERRED = (
     "concurrent.futures",
     "fracmatch.selftest",
+    "fracmatch.bipartite",
     "fracmatch.partition",
     "fracmatch.fm",
     "fracmatch.families",
