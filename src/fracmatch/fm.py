@@ -62,29 +62,30 @@ class FractionalMatching:
     )
 
     def __init__(self, host: Graph, weights: Dict[Edge, int]):
-        n = host.n
+        n, rows = host.n, host.rows
         w: Dict[Edge, int] = {}
         loads = [0] * n
         partners = [-1] * n
         half_rows = [0] * n
         full = half = 0
-        for (u, v), units in weights.items():
+        for e, units in weights.items():
+            u, v = e
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge ({u},{v}) names a vertex that is not an int")
             if not 0 <= u < v < n:
                 if not 0 <= v < u < n:
                     raise ValueError(f"edge ({u},{v}) does not join two vertices of 0..{n - 1}")
-                u, v = v, u
+                u, v = e = v, u
                 # the only way to give an edge twice is in both orientations
-                if (u, v) in weights:
+                if e in weights:
                     raise ValueError(f"edge ({u},{v}) given twice")
             if type(units) is not int or units not in (0, 1, 2):
                 raise ValueError(f"edge ({u},{v}) has weight {units!r} half-units, want 0/1/2")
             if units == 0:
                 continue
-            if not host.adj(u, v):
+            if not rows[u] >> v & 1:
                 raise ValueError(f"weight on non-edge ({u},{v})")
-            w[(u, v)] = units
+            w[e] = units
             loads[u] += units
             loads[v] += units
             if units == 2:
@@ -94,17 +95,16 @@ class FractionalMatching:
                 half_rows[u] |= 1 << v
                 half_rows[v] |= 1 << u
                 half |= 1 << u | 1 << v
-        for v, load in enumerate(loads):
-            if load > 2:
-                raise ValueError(f"vertex {v} overloaded: {load} half-units")
+        if max(loads, default=0) > 2:
+            v = next(v for v, load in enumerate(loads) if load > 2)
+            raise ValueError(f"vertex {v} overloaded: {loads[v]} half-units")
         self.host = host
         self.value = HalfInt(sum(w.values()))
         self._w = w
         self.loads = tuple(loads)
         self.partners = tuple(partners)
         self.half_rows = tuple(half_rows)
-        self.full = full
-        self.half = half
+        self.full, self.half = full, half
         self.support = full | half
         self.unweighted = ((1 << n) - 1) & ~self.support
 
@@ -169,12 +169,10 @@ def deficiency_of(g: Graph, s_set: Iterable[int]) -> int:
 
 def _deficiency(g: Graph, s_mask: int) -> int:
     """i(G-S) - |S| of the mask of S: a vertex outside S is isolated in G-S
-    unless some vertex outside S reaches it."""
+    when its row misses every vertex outside S."""
     rest = ((1 << g.n) - 1) & ~s_mask
-    reached = 0
-    for v in bits(rest):
-        reached |= g.row(v)
-    return (rest & ~reached).bit_count() - s_mask.bit_count()
+    isolated = sum(1 for v, row in enumerate(g.rows) if rest >> v & 1 and not row & rest)
+    return isolated - s_mask.bit_count()
 
 
 def _solved(g: Graph) -> BipartiteMatching:
@@ -213,14 +211,15 @@ def berge_deficiency(g: Graph) -> BergeWitness:
 
 def extract_fm(g: Graph) -> FractionalMatching:
     """An optimal-value half-integral matching read off the double cover:
-    edge uv gets one half-unit per matched cover copy."""
+    edge uv gets one half-unit per matched copy, so 2 when both copies match."""
     m = _solved(g)
+    pair = m.pair_left
     w: Dict[Edge, int] = {}
-    for u in range(g.n):
-        v = m.pair_left[u]
-        if v != -1:
-            e = (u, v) if u < v else (v, u)
-            w[e] = w.get(e, 0) + 1
+    for u, v in enumerate(pair):
+        if v > u:
+            w[(u, v)] = 1 + (pair[v] == u)
+        elif v != -1 and pair[v] != u:
+            w[(v, u)] = 1
     f = FractionalMatching(g, w)
     if f.value.units != m.size:
         raise InternalInconsistencyError(
@@ -247,8 +246,7 @@ def _canonicalize(f: FractionalMatching) -> FractionalMatching:
             raise InternalInconsistencyError(
                 f"odd half-path {order} in a value-optimal matching"
             )
-        for i in range(len(order) - 1):
-            u, v = order[i], order[i + 1]
+        for i, (u, v) in enumerate(zip(order, order[1:])):
             e = (u, v) if u < v else (v, u)
             if i % 2 == 0:
                 w[e] = 2
@@ -258,16 +256,15 @@ def _canonicalize(f: FractionalMatching) -> FractionalMatching:
 
     if out.value != f.value:
         raise InternalInconsistencyError("canonicalization changed the value")
-    g = f.host
-    unweighted = out.unweighted
+    rows, unweighted = f.host.rows, out.unweighted
     for v in bits(unweighted):
-        nb = g.row(v)
+        nb = rows[v]
         if nb & unweighted:
             raise InternalInconsistencyError(f"adjacent unweighted vertices at {v}")
         if nb & ~out.full:
             raise InternalInconsistencyError(f"unweighted vertex {v} has a non-full neighbour")
     for v in bits(out.half):
-        if g.row(v) & unweighted:
+        if rows[v] & unweighted:
             raise InternalInconsistencyError(f"half-cycle vertex {v} touches an unweighted vertex")
     return out
 

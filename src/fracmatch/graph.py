@@ -38,7 +38,7 @@ def check_matching(rows: Sequence[int], pair_left: Sequence[int], size: int) -> 
         raise InternalInconsistencyError(
             f"{len(pair_left)} pairs for {len(rows)} left vertices"
         )
-    taken = count = 0
+    taken = 0
     for u, v in enumerate(pair_left):
         if v == -1:
             continue
@@ -47,9 +47,8 @@ def check_matching(rows: Sequence[int], pair_left: Sequence[int], size: int) -> 
         if taken >> v & 1:
             raise InternalInconsistencyError(f"right vertex {v} is paired twice")
         taken |= 1 << v
-        count += 1
-    if count != size:
-        raise InternalInconsistencyError(f"{count} pairs, but size {size}")
+    if taken.bit_count() != size:
+        raise InternalInconsistencyError(f"{taken.bit_count()} pairs, but size {size}")
 
 
 @lru_cache(maxsize=None)
@@ -61,10 +60,11 @@ def edge_slots(n: int) -> Tuple[Tuple[int, int], ...]:
 
 class Graph:
     """Immutable simple graph; adjacency row of vertex v is the int mask
-    of its neighbours. 0 <= n <= 64. The hash and fracmatch.fm's solve of
-    the double cover are kept once made, outside equality and repr."""
+    of its neighbours. 0 <= n <= 64. The hash, the complement and
+    fracmatch.fm's solve of the double cover are kept once made, outside
+    equality and repr."""
 
-    __slots__ = ("n", "_rows", "_hash", "_solve")
+    __slots__ = ("n", "_rows", "_hash", "_solve", "_complement")
 
     def __init__(self, n: int, rows: List[int]):
         if not 0 <= n <= MAX_VERTICES:
@@ -73,7 +73,7 @@ class Graph:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         self.n = n
         self._rows = tuple(rows)
-        self._hash = self._solve = None
+        self._hash = self._solve = self._complement = None
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Tuple[int, int]]) -> "Graph":
@@ -134,9 +134,13 @@ class Graph:
         return sum(r.bit_count() for r in self._rows) // 2
 
     def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        rows = [full & ~r & ~(1 << v) for v, r in enumerate(self._rows)]
-        return Graph(self.n, rows)
+        """The complement, made on first use and kept. It keeps no link
+        back, so no reference cycle forms."""
+        if self._complement is None:
+            full = (1 << self.n) - 1
+            rows = [full & ~r & ~(1 << v) for v, r in enumerate(self._rows)]
+            self._complement = Graph(self.n, rows)
+        return self._complement
 
     def isolated_vertices(self) -> VertexSet:
         return frozenset(v for v in range(self.n) if not self._rows[v])

@@ -25,11 +25,11 @@ from .bounds import (
     BOUND_NAMES, MIN_STATED_ORDER, SweepStats, Verdict, bound_verdict, empty_stats, tally,
 )
 from .errors import InternalInconsistencyError, PreconditionError
-from .families import FamilyLabel, classify_equality_family, universal_vertex_count
+from .families import FamilyLabel, classify_equality_family
 from .fm import FractionalMatching, alpha2
 from .graph import Graph, bits, mask_of
 from .graph6 import emit_graph6
-from .halfint import HalfInt
+from .halfint import HalfInt, half_text
 from .partition import GoodPartition
 
 Edge = Tuple[int, int]
@@ -171,7 +171,7 @@ def _finish(
         f = FractionalMatching(gc, weights)
     except ValueError as exc:
         raise InternalInconsistencyError(f"{rule}/{case}: infeasible placement: {exc}") from exc
-    if Fraction(f.value.units, 2) < claimed:
+    if f.value.units * claimed.denominator < 2 * claimed.numerator:
         raise InternalInconsistencyError(
             f"{rule}/{case}: built value {f.value} below claimed {claimed}"
         )
@@ -201,12 +201,13 @@ def applicable_rules(g: Graph, p: GoodPartition) -> Tuple[str, ...]:
     """The construction rules whose preconditions hold, weakest first.
     Every rule needs n >= 2 and a support side of at most n/2 vertices
     (value at most n/4); plus_half also needs s >= 1 and both graphs
-    isolate-free (the complement's isolated vertices are g's universal
-    ones); plus_one also needs s equal to the value with s >= 3."""
+    isolate-free, read as no zero row in g or in its kept complement (whose
+    zero rows are g's universal vertices); plus_one also needs s equal to
+    the value with s >= 3."""
     T2, s = p.t.units, p.s
     if g.n < 2 or 2 * T2 > g.n:
         return ()
-    if s < 1 or g.isolated_vertices() or universal_vertex_count(g):
+    if s < 1 or 0 in g.rows or 0 in g.complement().rows:
         return ("base",)
     if T2 == 2 * s and s >= 3:
         return ("base", "plus_half", "plus_one")
@@ -231,8 +232,9 @@ def construct_complement_fm(
     if not rules:
         if g.n < 2:
             raise PreconditionError("construction needs n >= 2")
+        quarter = half_text(g.n // 2) if g.n % 2 == 0 else f"{g.n}/4"
         raise PreconditionError(
-            f"value {p.t} exceeds n/4 = {Fraction(g.n, 4)}; leftover accounting fails"
+            f"value {p.t} exceeds n/4 = {quarter}; leftover accounting fails"
         )
     if rule is None:
         rule = rules[-1]

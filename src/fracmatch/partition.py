@@ -92,16 +92,19 @@ def check_partition_structure(g: Graph, p: GoodPartition) -> None:
 
 
 def _build_partition(g: Graph, f: FractionalMatching) -> GoodPartition:
-    v1 = list(bits(f.support))
-    # Right indices are vertex ids; the ascending left order fixes the pairing.
-    m = hopcroft_karp([g.row(u) & f.unweighted for u in v1], g.n)
+    """f with a maximum pairing onto the unweighted side, whose left side is
+    the support vertices with an unweighted neighbour, ascending (no other
+    can pair or block one), and whose right indices are vertex ids."""
+    un = f.unweighted
+    v1 = [u for u, row in enumerate(g.rows) if row & un and f.support >> u & 1]
+    m = hopcroft_karp([g.rows[u] & un for u in v1], g.n)
     return GoodPartition(f, tuple((u, w) for u, w in zip(v1, m.pair_left) if w != -1))
 
 
 def verify_partition(g: Graph, p: GoodPartition) -> PropertyReport:
     """Check the five structural properties; returns a report, never raises."""
-    f = p.fm
-    prop_a = not any(g.row(u) & g.row(v) & f.unweighted for u, v in f.one_edges())
+    f, rows = p.fm, g.rows
+    prop_a = not any(rows[u] & rows[v] & f.unweighted for u, v in f.one_edges())
 
     # x is exactly the set of 1-edge partners of v11.
     prop_b = not (p.x & p.v11 or any(f.half_rows[u] & p.v11 for u in bits(p.v11)))
@@ -110,7 +113,7 @@ def verify_partition(g: Graph, p: GoodPartition) -> PropertyReport:
 
     x_reach = 0
     for v in bits(p.x):
-        x_reach |= g.row(v)
+        x_reach |= rows[v]
     prop_d = x_reach & p.x == 0
     prop_e = x_reach & f.unweighted == 0
 

@@ -20,6 +20,7 @@ from fracmatch.fm import (
 from fracmatch.generators import complete, cycle, disjoint_union, empty_graph, hgraph, path, star
 from fracmatch.graph import Graph, bits
 from fracmatch.halfint import HalfInt
+from fracmatch.selftest import branch_corpus
 
 
 def all_graphs(n):
@@ -182,6 +183,32 @@ def test_one_double_cover_solve_per_graph(monkeypatch, order):
     assert solves.count(g.rows) == 2
 
 
+def test_one_complement_per_graph():
+    g = dict(branch_corpus())["hub_m_open"]
+    seen = (g, hash(g), repr(g))
+    gc = g.complement()
+    assert g.complement() is gc
+    full = (1 << g.n) - 1
+    assert gc.rows == tuple(full & ~r & ~(1 << v) for v, r in enumerate(g.rows))
+    assert (g, hash(g), repr(g)) == seen and repr(g) == repr(Graph(g.n, list(g.rows)))
+    # the complement keeps no link back, so no reference cycle forms
+    assert gc._complement is None and gc.complement() is not g and gc.complement() == g
+
+    twin = Graph(g.n, list(g.rows))
+    assert twin == g and hash(twin) == hash(g)
+    assert twin.complement() == gc and twin.complement() is not gc
+
+    p = partition.good_partition(g)
+    rules = ngbounds.applicable_rules(g, p)
+    assert rules == ("base", "plus_half", "plus_one")
+    for rule in rules:
+        assert ngbounds.construct_complement_fm(g, p, rule)[0].host is gc
+    # ng_sum solves the kept complement, so the solve stays on it
+    assert gc._solve is None
+    report = ngbounds.ng_sum(g)
+    assert gc._solve is not None and report.alpha_gc.units == alpha2(gc)
+
+
 @pytest.mark.parametrize("reader", [alpha2, ngbounds.ng_sum, berge_deficiency],
                          ids=["alpha2", "ng_sum", "berge_deficiency"])
 def test_a_solve_that_pairs_a_non_edge_is_rejected(monkeypatch, reader):
@@ -209,8 +236,11 @@ def test_fm_validation():
         FractionalMatching(g, {(0, 2): 1})  # non-edge
     with pytest.raises(ValueError):
         FractionalMatching(g, {(0, 1): 3})
-    with pytest.raises(ValueError):
-        FractionalMatching(g, {(0, 1): 2, (1, 2): 1})  # load 3 at vertex 1
+    with pytest.raises(ValueError, match=r"^vertex 1 overloaded: 3 half-units$"):
+        FractionalMatching(g, {(0, 1): 2, (1, 2): 1})
+    # the lowest overloaded vertex is named, not the most loaded one
+    with pytest.raises(ValueError, match=r"^vertex 1 overloaded: 3 half-units$"):
+        FractionalMatching(complete(4), {(2, 3): 2, (1, 3): 2, (0, 1): 1})
     with pytest.raises(ValueError, match=r"edge \(0,1\) given twice"):
         FractionalMatching(complete(2), {(0, 1): 1, (1, 0): 1})
     with pytest.raises(ValueError, match="given twice"):

@@ -202,6 +202,17 @@ def test_plus_half_requires_pairing():
         construct_complement_fm(g, p, rule="plus_half")
 
 
+def test_dense_graph_message_names_a_quarter_of_n():
+    # The message prints n/4 without building a Fraction; the text is the
+    # Fraction's at every order.
+    for n in range(2, 65):
+        g = complete(n)
+        expected = f"value {HalfInt(n)} exceeds n/4 = {Fraction(n, 4)}; leftover accounting fails"
+        with pytest.raises(PreconditionError) as info:
+            construct_complement_fm(g, good_partition(g))
+        assert str(info.value) == expected
+
+
 def test_plus_half_requires_isolate_free():
     g = add_isolates(star(3), 1)
     p = good_partition(g)

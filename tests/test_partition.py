@@ -7,12 +7,14 @@ import json
 import pytest
 
 from fracmatch import partition
+from fracmatch.bipartite import hopcroft_karp
 from fracmatch.errors import InternalInconsistencyError
 from fracmatch.fm import FractionalMatching, _canonicalize, alpha2, berge_deficiency, canonical_fm
 from fracmatch.generators import add_isolates, complete, cycle, disjoint_union, k2pql, star
 from fracmatch.graph import Graph, bits
 from fracmatch.graph6 import parse_graph6
 from fracmatch.halfint import HalfInt
+from fracmatch.harness import SampleSpec, sample_graphs
 from fracmatch.partition import (
     GoodPartition,
     PropertyReport,
@@ -130,6 +132,49 @@ def test_parts_are_read_off_matching_and_pairing():
     assert (p.v11, p.v12, p.v21, p.v22, p.x) == (0b1, 0b10, 0b100, 0b11111000, 0b10)
     assert {type(part) for part in (p.v11, p.v12, p.v21, p.v22, p.x)} == {int}
     assert (p.s, p.t) == (1, HalfInt(2))
+
+
+# ------------------------------------------------------------------ pairing
+
+
+def reference_pairing(g, f):
+    """The pairing solved over every support vertex, zero rows included."""
+    v1 = list(bits(f.support))
+    m = hopcroft_karp([g.rows[u] & f.unweighted for u in v1], g.n)
+    return tuple((u, w) for u, w in zip(v1, m.pair_left) if w != -1)
+
+
+def pairing_population():
+    yield from (g for n in range(7) for g in all_graphs(n))
+    yield from corpus_with_relabelings(2, 26)
+    for n in range(28, 32):
+        yield from sample_graphs(SampleSpec(n, 1, 2, 50, 26))
+
+
+def test_pairing_skips_vertices_that_cannot_pair(monkeypatch):
+    # A support vertex without an unweighted neighbour can neither pair nor
+    # block another, so leaving it out keeps the pairing.
+    handed = []
+
+    def recording(rows, n_right):
+        handed.append(list(rows))
+        return hopcroft_karp(rows, n_right)
+
+    monkeypatch.setattr(partition, "hopcroft_karp", recording)
+    checked = 0
+    for g in pairing_population():
+        f = canonical_fm(g)
+        del handed[:]
+        assert _build_partition(g, f).pairing == reference_pairing(g, f), g
+        assert len(handed) == 1 and all(handed[0]), g
+        checked += 1
+    assert checked == 33_868 + 75 + 200
+
+    g = complete(4)
+    f = canonical_fm(g)
+    assert f.unweighted == 0
+    assert _build_partition(g, f).pairing == reference_pairing(g, f) == ()
+    assert handed[-1] == []
 
 
 # ------------------------------------------------------- optimum invariants

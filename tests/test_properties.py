@@ -14,7 +14,7 @@ from fracmatch.bounds import BOUND_NAMES
 from fracmatch.cli import main
 from fracmatch.fm import alpha2
 from fracmatch.graph import Graph, bits, mask_of
-from fracmatch.graph6 import emit_edgelist, emit_graph6
+from fracmatch.graph6 import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from fracmatch.harness import _batch_keys, _batch_rows, _sweep_task
 from fracmatch.ngbounds import sweep_with_rows
 from fracmatch.partition import good_partition
@@ -34,6 +34,19 @@ def slot_bits(n, masks):
     return np.array(
         [[m >> j & 1 for j in range(slots)] for m in masks], dtype=np.uint8
     ).reshape(len(masks), slots)
+
+
+@settings(PROPERTY, max_examples=5)
+@given(st.data())
+def test_every_order_round_trips(data):
+    # Each example draws one graph of every order 0..64.
+    for n in range(65):
+        g = data.draw(graphs(min_n=n, max_n=n))
+        assert parse_graph6(emit_graph6(g)) == g
+        assert parse_edgelist(emit_edgelist(g)) == g
+        assert Graph.from_mask(n, g.to_mask()) == g
+        gc = g.complement()
+        assert g.complement() is gc and gc.complement() == g
 
 
 @PROPERTY
