@@ -3,7 +3,7 @@
 Values are integer half-units throughout (edge weight 1/2 <-> 1 unit,
 weight 1 <-> 2 units). The matching number is half the maximum matching of
 the bipartite double cover, whose left rows are the graph's own adjacency
-rows. One Hopcroft-Karp solve per Graph, kept on it and read by alpha2,
+rows. One hopcroft_karp solve per Graph, kept on it and read by alpha2,
 berge_deficiency and extract_fm, gives the value, the matching and a König
 cover. The cover bounds the value from above in the solver, the primal
 check (graph.check_matching) bounds it from below when the solve is made,
@@ -261,11 +261,9 @@ def _canonicalize(f: FractionalMatching) -> FractionalMatching:
         nb = rows[v]
         if nb & unweighted:
             raise InternalInconsistencyError(f"adjacent unweighted vertices at {v}")
-        if nb & ~out.full:
-            raise InternalInconsistencyError(f"unweighted vertex {v} has a non-full neighbour")
-    for v in bits(out.half):
-        if rows[v] & unweighted:
-            raise InternalInconsistencyError(f"half-cycle vertex {v} touches an unweighted vertex")
+        # A neighbour neither unweighted nor half is full.
+        if nb & out.half:
+            raise InternalInconsistencyError(f"half-cycle vertex touches unweighted vertex {v}")
     return out
 
 

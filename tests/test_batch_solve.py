@@ -1,28 +1,30 @@
-"""The sweep's batch solve: 2*alpha' from a numpy greedy, one length-3 pass
-and one augmenting search per free vertex for the graphs they leave short,
-equal to hopcroft_karp on every graph of order at most 6 and on sampled
-batches of both sides, each path settling some graph; the cover check
-behind every size the search leaves short, rejecting a matching that is
-not maximum; and the primal check behind every result, in its pure-Python
-reference and its batch form, rejecting tampered matchings and no real
-one."""
+"""The sweep's batch solve: 2*alpha' from a numpy greedy and, for the
+graphs it leaves short, hopcroft_karp's finish (one length-3 pass, then one
+augmenting search per free vertex). It equals bulk_alpha2 on every graph of
+order at most 6 and networkx on sampled batches of both sides, as does
+hopcroft_karp, and each path settles some graph. The cover check behind
+every size the search leaves short rejects a matching that is not maximum,
+naming the graph; the primal check behind every result, in its
+pure-Python reference and its batch form, rejects tampered matchings and
+no real one."""
 
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from fracmatch import harness
+from fracmatch import bipartite, harness
 from fracmatch.bipartite import hopcroft_karp
+from fracmatch.bulk import bulk_alpha2
 from fracmatch.errors import InternalInconsistencyError
-from fracmatch.graph import Graph, check_matching
+from fracmatch.graph import Graph, bits, check_matching
 from fracmatch.graph6 import emit_graph6
 from fracmatch.harness import (
     SampleSpec,
     _batch_alpha2,
     _batch_rows,
     _check_batch,
-    _check_cover,
     _enumeration_bits,
     _sample_bits,
     enumeration_count,
@@ -39,7 +41,7 @@ def sampled_sides(n, p, count=256, seed=5):
     return rows, complement_rows(rows, n)
 
 
-def reference_sizes(rows, n):
+def solver_sizes(rows, n):
     """hopcroft_karp's size of each row, each matching passing the reference
     check."""
     sizes = []
@@ -47,6 +49,17 @@ def reference_sizes(rows, n):
         m = hopcroft_karp(r, n)
         check_matching(r, m.pair_left, m.size)
         sizes.append(m.size)
+    return sizes
+
+
+def networkx_sizes(rows, n):
+    """networkx's maximum matching size of each row's double cover."""
+    sizes = []
+    for r in rows.tolist():
+        cover = nx.Graph()
+        cover.add_nodes_from(range(2 * n))
+        cover.add_edges_from((u, n + v) for u, row in enumerate(r) for v in bits(row))
+        sizes.append(len(nx.bipartite.maximum_matching(cover, top_nodes=range(n))) // 2)
     return sizes
 
 
@@ -69,10 +82,11 @@ def checked(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_batch_solve_matches_hopcroft_karp_exhaustive(checked, n):
     # Every graph of order n, so every complement too.
-    total = enumeration_count(n)
+    total, table = enumeration_count(n), bulk_alpha2(n).tolist()
     for lo in range(0, total, 256):
-        rows = _batch_rows(n, _enumeration_bits(n, lo, min(lo + 256, total)))
-        assert _batch_alpha2(rows, n) == reference_sizes(rows, n)
+        hi = min(lo + 256, total)
+        rows = _batch_rows(n, _enumeration_bits(n, lo, hi))
+        assert _batch_alpha2(rows, n) == table[lo:hi] == solver_sizes(rows, n)
     assert sum(checked) == total
 
 
@@ -80,7 +94,7 @@ def test_batch_solve_matches_hopcroft_karp_exhaustive(checked, n):
 @pytest.mark.parametrize("n", [29, 30, 31, 64])
 def test_batch_solve_matches_hopcroft_karp_sampled(checked, n, p):
     for rows in sampled_sides(n, p):
-        assert _batch_alpha2(rows, n) == reference_sizes(rows, n)
+        assert _batch_alpha2(rows, n) == networkx_sizes(rows, n) == solver_sizes(rows, n)
     assert sum(checked) == 512
 
 
@@ -90,7 +104,7 @@ def settled_by_path(monkeypatch, rows, n):
     calls = {"_length3": 0, "_augment": 0}
 
     def counting(name):
-        real = getattr(harness, name)
+        real = getattr(bipartite, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -99,7 +113,7 @@ def settled_by_path(monkeypatch, rows, n):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(harness, name, counting(name))
+        monkeypatch.setattr(bipartite, name, counting(name))
     _batch_alpha2(rows, n)
     return {
         "greedy": len(rows) - calls["_length3"],
@@ -125,36 +139,35 @@ def test_cover_check_rejects_a_matching_that_is_not_maximum(monkeypatch):
     # A search that accepts no root leaves the length-3 matching, which on
     # sparse sides is short of the maximum; its free vertices reach a free
     # right vertex, so the cover check must raise and name the graph.
-    monkeypatch.setattr(harness, "_augment", lambda rows, pl, pr, fr, fl: (fr, fl))
+    monkeypatch.setattr(bipartite, "_augment", lambda rows, pl, pr, fr, fl: (fr, fl))
     sparse = sampled_sides(30, Fraction(1, 10))[0]
     with pytest.raises(InternalInconsistencyError, match="has an augmenting path"):
         _batch_alpha2(sparse, 30)
 
 
-def test_cover_check_names_the_graph():
-    # P4 = 0-1-2-3 with only the middle edge paired: free 0 reaches free 0.
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    rows = list(g.rows)
-    pair_r = [-1, 2, 1, -1]  # left 1 -> right 2, left 2 -> right 1
+def test_cover_check_names_the_graph(monkeypatch):
+    # With no finish the greedy's matching of a triangle stands: 0 and 1
+    # take each other, and 2 stays free next to them while right 2 is free.
+    for name in ("_length3", "_augment"):
+        monkeypatch.setattr(bipartite, name, lambda rows, pl, pr, fr, fl: (fr, fl))
+    g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(InternalInconsistencyError) as exc:
-        _check_cover(rows, pair_r, 0b1001, 0b1001)
-    assert str(exc.value).startswith(emit_graph6(g) + ": ")
-    # The maximum matching 0-1, 1-0, 2-3, 3-2 passes.
-    _check_cover(rows, [1, 0, 3, 2], 0, 0)
+        _batch_alpha2(np.array([g.rows], dtype=np.uint64), 3)
+    assert str(exc.value) == f"{emit_graph6(g)}: matching of size 2 has an augmenting path"
 
 
 def test_batch_solve_takes_a_batch_of_one_at_every_order():
     for n in (2, 63, 64):
         rows, rows_c = sampled_sides(n, Fraction(1, 2), count=1)
         both = np.concatenate([rows, rows_c])
-        assert _batch_alpha2(both, n) == reference_sizes(both, n)
+        assert _batch_alpha2(both, n) == networkx_sizes(both, n)
 
 
 def test_batch_solve_needs_no_numpy_past_the_floor(monkeypatch):
     # pyproject promises numpy >= 1.24; np.bitwise_count came in 2.0.
     monkeypatch.delattr(np, "bitwise_count", raising=False)
     rows, rows_c = sampled_sides(64, Fraction(1, 2), count=32)
-    assert _batch_alpha2(rows_c, 64) == reference_sizes(rows_c, 64)
+    assert _batch_alpha2(rows_c, 64) == networkx_sizes(rows_c, 64)
 
 
 # ------------------------------------------------------------- primal check

@@ -1,6 +1,10 @@
-"""Hopcroft-Karp on bit rows with König certificates, checked against brute
-force and networkx on randomized instances, and pinned to the exploration
-order of the tuple-adjacency matcher it replaced."""
+"""The matching solver on bit rows with König certificates, checked against
+brute force and networkx on randomized instances, and against the size and
+the König cover of a textbook tuple-adjacency Hopcroft-Karp. The cover of
+the free left vertices' alternating reach is the same for every maximum
+matching, so it is pinned where the pairing is not; the cover check
+rejects a matching that is not maximum and a partner list that is not
+the pairing's inverse."""
 
 import itertools
 import random
@@ -9,7 +13,8 @@ from collections import deque
 import networkx as nx
 import pytest
 
-from fracmatch.bipartite import hopcroft_karp
+from fracmatch.bipartite import hopcroft_karp, konig_cover
+from fracmatch.errors import InternalInconsistencyError
 from fracmatch.graph import Graph, bits
 
 
@@ -43,8 +48,8 @@ def check_certificate(rows, m):
 
 
 def reference_hopcroft_karp(n_left, n_right, adj):
-    """The tuple-adjacency matcher the bit-row one replaced, verbatim in
-    its exploration order: (pair_left, cover_left, cover_right)."""
+    """A tuple-adjacency Hopcroft-Karp, BFS phases and all, with the König
+    cover of its final matching: (pair_left, cover_left, cover_right)."""
     pair_l = [-1] * n_left
     pair_r = [-1] * n_right
     dist = [-1] * n_left
@@ -100,11 +105,13 @@ def reference_hopcroft_karp(n_left, n_right, adj):
     return tuple(pair_l), cover_left, cover_right
 
 
-def assert_same_order(rows, n_right):
+def assert_same_size_and_cover(rows, n_right):
     m = hopcroft_karp(rows, n_right)
-    ref = reference_hopcroft_karp(len(rows), n_right, [tuple(bits(r)) for r in rows])
-    got = (m.pair_left, frozenset(bits(m.cover_left)), frozenset(bits(m.cover_right)))
-    assert got == ref, rows
+    ref_pair, ref_left, ref_right = reference_hopcroft_karp(
+        len(rows), n_right, [tuple(bits(r)) for r in rows]
+    )
+    got = (m.size, frozenset(bits(m.cover_left)), frozenset(bits(m.cover_right)))
+    assert got == (sum(v != -1 for v in ref_pair), ref_left, ref_right), rows
     check_certificate(rows, m)
 
 
@@ -169,11 +176,23 @@ def test_adjacency_validation():
         hopcroft_karp([-1], 2)
 
 
+def test_cover_check_rejects_a_short_matching_and_a_wrong_partner_list():
+    # P4 = 0-1-2-3 with only the middle edge paired: free 0 reaches free 0.
+    rows = list(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]).rows)
+    with pytest.raises(InternalInconsistencyError, match="^matching of size 2 has an augmenting path$"):
+        konig_cover(rows, [-1, 2, 1, -1], 0b1001, 0b1001)
+    # The maximum matching 0-1, 1-0, 2-3, 3-2 leaves nothing free.
+    assert konig_cover(rows, [1, 0, 3, 2], 0, 0) == (0b1111, 0)
+    # Left 0 takes right 0 and left 1 is free, but right 1 names left 0 too.
+    with pytest.raises(InternalInconsistencyError, match="^cover of size 2 does not certify matching size 1$"):
+        konig_cover([0b01, 0b10], [0, 0], 0, 0b10)
+
+
 def test_order_matches_reference_on_small_double_covers():
     for n in range(6):
         for mask in range(1 << (n * (n - 1) // 2)):
             g = Graph.from_mask(n, mask)
-            assert_same_order(g.rows, n)
+            assert_same_size_and_cover(g.rows, n)
 
 
 def test_order_matches_reference_on_random_double_covers():
@@ -183,7 +202,7 @@ def test_order_matches_reference_on_random_double_covers():
             g = Graph.from_edges(
                 n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             )
-            assert_same_order(g.rows, n)
+            assert_same_size_and_cover(g.rows, n)
 
 
 def test_order_matches_reference_on_rectangular_rows():
@@ -198,4 +217,4 @@ def test_order_matches_reference_on_rectangular_rows():
         rows = [
             sum(1 << v for v in bits(right) if rng.random() < p) for _ in range(nl)
         ]
-        assert_same_order(rows, nr)
+        assert_same_size_and_cover(rows, nr)

@@ -317,6 +317,25 @@ def test_canonicalize_rejects_odd_path():
         _canonicalize(f)
 
 
+@pytest.mark.parametrize(
+    "edges,weights,message",
+    [
+        # an edge left unweighted
+        ([(0, 1)], {}, "adjacent unweighted vertices at 0"),
+        # a half-triangle with an unweighted pendant on vertex 0
+        ([(0, 1), (0, 2), (1, 2), (0, 3)], {(0, 1): 1, (0, 2): 1, (1, 2): 1},
+         "half-cycle vertex touches unweighted vertex 3"),
+    ],
+    ids=["unweighted-edge", "half-cycle-pendant"],
+)
+def test_canonicalize_rejects_an_unweighted_vertex_with_a_non_full_neighbour(
+    edges, weights, message
+):
+    f = FractionalMatching(Graph.from_edges(4, edges), weights)
+    with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
+        _canonicalize(f)
+
+
 def test_canonicalize_keeps_odd_cycles():
     g = cycle(5)
     f = extract_fm(g)

@@ -268,11 +268,11 @@ def test_benchmark_identity_bindings():
 # ---------------------------------------------------------------------------
 # What a fresh process loads.
 
-# Modules a 1-worker sweep does not run, so must not load.
+# Modules a 1-worker sweep does not run, so must not load. It does load
+# fracmatch.bipartite, whose finish and cover check its batch solve shares.
 SWEEP_DEFERRED = (
     "concurrent.futures",
     "fracmatch.selftest",
-    "fracmatch.bipartite",
     "fracmatch.partition",
     "fracmatch.fm",
     "fracmatch.families",

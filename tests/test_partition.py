@@ -292,7 +292,7 @@ def test_partition_dump_pinned(g, doc):
     assert partition_dump(g, good_partition(g)) == doc
 
 
-CERTIFICATE_DIGEST = "781fe3103883bf3bcf40c187c22f30f54ab15e0db127ca3d2a6eb0ff7a16fdd7"
+CERTIFICATE_DIGEST = "791ccbcdfaadee9ec53c3293c9cb300c49966c60f57053f5b42520726ef62bd5"
 
 
 def test_chosen_certificates_pinned():
