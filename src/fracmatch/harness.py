@@ -7,8 +7,9 @@ draw is therefore random-access (no sequential state), which is what lets
 sweeps fan out over index ranges and still produce identical output for
 any worker count.
 
-Sampled and enumerated streams are built in batches of _BATCH graphs from
-one (batch x slots) matrix of edge bits: numpy gathers it, through one
+Sampled and enumerated streams are built in batches of _BATCH graphs
+(_NUMPY_BATCH for a sweep of order up to _NUMPY_MAX_N) from one
+(batch x slots) matrix of edge bits: numpy gathers it, through one
 cached index map per order, into adjacency rows and, for sweeps, into
 graph6 keys, so no stream calls Graph.from_mask or emit_graph6 per graph,
 and the memory a batch takes is bounded by its fixed size whatever the
@@ -18,13 +19,17 @@ A sweep also takes each batch's complement rows, edge counts and
 isolate-free flags from those arrays, and works per batch: one batch
 solve per side (_batch_alpha2), then one verdict (bounds.bound_verdict)
 and one tally of counts and CSV rows (bounds.tally) per batch, on
-columns. The batch solve is bipartite's solver with its greedy pass run
-on all the side's rows at once in numpy: a graph whose greedy matching
-pairs every non-isolated vertex is done, and only the graphs left short
-get the solver's own finish in Python, the length-3 pass and then, if
-still short, the augmenting search. A graph still short after that has
-its size proved by the solver's König cover. Every matching the solve
-ends with passes a primal check in numpy before its size is read. A
+columns. The batch solve runs bipartite's greedy pass on all the side's
+rows at once in numpy: a graph whose greedy matching pairs every
+non-isolated vertex is done. The graphs left short get one of two
+finishes, chosen by order alone. Up to _NUMPY_MAX_N they run
+Hopcroft-Karp phases together in numpy, one augmenting path per graph and
+phase, until a phase finds no path; that last search's reach is each
+graph's König cover, checked in numpy. Above it each gets the solver's
+own finish in Python, the length-3 pass and then, if still short, the
+augmenting search, and a graph still short after that has its size
+proved by the solver's König cover. Every matching the solve ends with
+passes a primal check in numpy before its size is read. A
 Graph is built only when an equality needs classifying. An enumeration
 holds every complement too, so it runs over the masks whose top slot bit
 is clear and reads two rows, the graph's and its complement's, off each
@@ -57,6 +62,12 @@ ENUM_HARD_MAX_N = 8
 
 # Graphs per batch. At n = 64 a batch's uint64 draw matrix is about 4 MB.
 _BATCH = 256
+# Sweeps of order up to _NUMPY_MAX_N finish their short graphs in numpy,
+# in batches of _NUMPY_BATCH graphs that spread numpy's per-call cost.
+# The cut is measured by bench_cut.py: past it, numpy's finish stops
+# winning at p = 1/4 (even at n = 15, slower from n = 16).
+_NUMPY_MAX_N = 14
+_NUMPY_BATCH = 2048
 
 
 def splitmix64(z: int) -> int:
@@ -95,6 +106,15 @@ def _padded(bits: np.ndarray) -> np.ndarray:
     """bits with one zero column appended: the index maps below send every
     position that holds no edge slot to that column."""
     return np.pad(bits, ((0, 0), (0, 1)))
+
+
+@lru_cache(maxsize=None)
+def _place(n: int) -> np.ndarray:
+    """The bit of each vertex 0..n-1, as uint64; cached per order and
+    read-only."""
+    place = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    place.flags.writeable = False
+    return place
 
 
 @lru_cache(maxsize=None)
@@ -302,6 +322,12 @@ def _batch_greedy(rows: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.frexp(taken.T)[1] - 1, free_r
 
 
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """The number of set bits of each uint64 of x (np.bitwise_count came in
+    numpy 2.0)."""
+    return np.unpackbits(x.view(np.uint8)).reshape(len(x), 64).sum(axis=1)
+
+
 def _check_batch(rows: np.ndarray, pair: np.ndarray, size: np.ndarray, n: int) -> None:
     """The primal check of a batch solve, per graph: each pair is -1 or a
     right vertex adjacent to its left one, no right vertex is paired twice,
@@ -316,48 +342,154 @@ def _check_batch(rows: np.ndarray, pair: np.ndarray, size: np.ndarray, n: int) -
     ok &= ((rows & bit) == bit).all(axis=1)
     ok &= paired.sum(axis=1) == size
     # The union has one bit per distinct right vertex.
-    ok &= np.unpackbits(union.view(np.uint8)).reshape(len(rows), 64).sum(axis=1) == size
+    ok &= _popcount(union) == size
     if not ok.all():
         i = int(np.argmin(ok))
-        raise InternalInconsistencyError(
-            f"{emit_graph6(Graph(n, rows[i].tolist()))}: "
-            f"matching of size {int(size[i])} fails its primal check"
-        )
+        raise _named(n, rows[i].tolist(), f"matching of size {size[i]} fails its primal check")
+
+
+def _named(n: int, row: List[int], message: str) -> InternalInconsistencyError:
+    """An error of message, with the graph6 of the graph of rows row in
+    front."""
+    return InternalInconsistencyError(f"{emit_graph6(Graph(n, row))}: {message}")
+
+
+def _inverse(pair: np.ndarray, place: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The right partners (-1 for a free right vertex) and the free left
+    mask of each graph of a (B, n) pair array."""
+    pair_r = np.full(pair.shape, -1, dtype=pair.dtype)
+    gi, u = np.nonzero(pair >= 0)
+    pair_r[gi, pair[gi, u]] = u
+    return pair_r, np.bitwise_or.reduce(np.where(pair < 0, place, np.uint64(0)), axis=1)
+
+
+def _scalar_finish(rows: np.ndarray, pair: np.ndarray, free_r: np.ndarray,
+                   n: int) -> Tuple[List[List[int]], List[int]]:
+    """hopcroft_karp's _finish on each graph in turn, in Python; a size
+    still below k must pass konig_cover, whose error is raised again naming
+    the graph. Returns the pair lists and the sizes."""
+    pair_r, free_l = _inverse(pair, _place(n))
+    pair_l, sizes = pair.tolist(), []
+    for r, pl, pr, fr, fl in zip(rows.tolist(), pair_l, pair_r.tolist(), free_r.tolist(),
+                                 free_l.tolist()):
+        fr, fl = _finish(r, pl, pr, fr, fl)
+        if fl.bit_count() > r.count(0):
+            try:
+                konig_cover(r, pr, fr, fl)
+            except InternalInconsistencyError as e:
+                raise _named(n, r, str(e)) from None
+        sizes.append(n - fl.bit_count())
+    return pair_l, sizes
+
+
+def _lowest(x: np.ndarray) -> np.ndarray:
+    """The index of each nonzero uint64's lowest set bit."""
+    return np.frexp(x & -x)[1] - 1
+
+
+def _phase(rows: np.ndarray, pair_l: np.ndarray, pair_r: np.ndarray, free_l: np.ndarray,
+           free_r: np.ndarray, place: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Hopcroft-Karp phase on each graph, with one augmenting path, in
+    place. A layered search on bit rows starts from the free left vertices;
+    a graph stops at the first layer that meets a free right vertex x,
+    the lowest of that layer. The traceback then takes, layer by layer
+    back to a root, the lowest left vertex of the layer adjacent to x (as
+    the rows are symmetric, x's left neighbours are rows[x]), pairs it with
+    x, and moves x to its old partner. Returns which graphs augmented and
+    the left and right masks each search reached."""
+    mate = np.where(pair_r >= 0, place[pair_r], np.uint64(0))
+    frontier, reached_l = free_l, free_l.copy()
+    reached_r, hit = np.zeros_like(free_l), np.zeros_like(free_l)
+    depth = np.zeros(len(rows), dtype=np.intp)
+    layers = []
+    while frontier.any():
+        layers.append(frontier)
+        on = (frontier[:, None] & place) != 0
+        new = np.bitwise_or.reduce(np.where(on, rows, np.uint64(0)), axis=1) & ~reached_r
+        reached_r |= new
+        meet = new & free_r
+        stop = np.flatnonzero(meet)
+        hit[stop] = meet[stop] & -meet[stop]
+        depth[stop] = len(layers) - 1
+        new[stop] = 0
+        on = (new[:, None] & place) != 0
+        frontier = np.bitwise_or.reduce(np.where(on, mate, np.uint64(0)), axis=1)
+        reached_l |= frontier
+    found = np.flatnonzero(hit)
+    if len(found):
+        x, d = _lowest(hit[found]), depth[found]
+        for k in range(int(d.max()), -1, -1):
+            at = np.flatnonzero(d >= k)
+            g, xs = found[at], x[at]
+            u = _lowest(rows[g, xs] & layers[k][g])
+            x[at] = pair_l[g, u]
+            pair_l[g, u], pair_r[g, xs] = xs, u
+        free_l[found] ^= place[u]
+        free_r[found] ^= hit[found]
+    return hit != 0, reached_l, reached_r
+
+
+def _check_reach(rows: np.ndarray, free_r: np.ndarray, reached_l: np.ndarray,
+                 reached_r: np.ndarray, size: np.ndarray, n: int) -> None:
+    """The dual check of a batch finish, per graph: the cover of the
+    unreached left and the reached right vertices of a search that found
+    no augmenting path. It must reach no free right vertex, hold every
+    edge of a reached left vertex on its right side, and number size
+    vertices; then it is a vertex cover as large as the matching, which
+    is therefore maximum. Raises InternalInconsistencyError naming the
+    first graph that fails."""
+    place = _place(n)
+    meets = (reached_r & free_r) != 0
+    open_ = (((rows & ~reached_r[:, None]) != 0) & ((reached_l[:, None] & place) != 0)).any(axis=1)
+    cover = n - _popcount(reached_l) + _popcount(reached_r)
+    bad = meets | open_ | (cover != size)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if meets[i]:
+            message = f"matching of size {size[i]} has an augmenting path"
+        elif open_[i]:
+            message = f"cover of size {cover[i]} misses an edge"
+        else:
+            message = f"cover of size {cover[i]} does not certify matching size {size[i]}"
+        raise _named(n, rows[i].tolist(), message)
+
+
+def _numpy_finish(rows: np.ndarray, pair: np.ndarray, free_r: np.ndarray,
+                  n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Finish the greedy matchings of a batch in numpy: _phase on every
+    graph until its search finds no augmenting path, then _check_reach on
+    that last search's reach. Returns the pair array and the sizes. The
+    traceback reads a right vertex's left neighbours off its own row, so
+    this serves the sweep's symmetric rows only."""
+    place = _place(n)
+    pair_r, free_l = _inverse(pair, place)
+    reached_l, reached_r = np.empty_like(free_l), np.empty_like(free_l)
+    todo = np.arange(len(rows))
+    while len(todo):
+        sub = [a[todo] for a in (pair, pair_r, free_l, free_r)]
+        grew, reached_l[todo], reached_r[todo] = _phase(rows[todo], *sub, place)
+        pair[todo], pair_r[todo], free_l[todo], free_r[todo] = sub
+        todo = todo[grew]
+    size = n - _popcount(free_l)
+    _check_reach(rows, free_r, reached_l, reached_r, size, n)
+    return pair, size
 
 
 def _batch_alpha2(rows: np.ndarray, n: int) -> List[int]:
     """2*alpha' of each graph of a (B, n) uint64 batch of adjacency rows.
     A graph with k non-isolated vertices has 2*alpha' <= k, since their
     left copies cover the double cover; so a matching of k pairs settles
-    it. The batch greedy settles most dense graphs; the graphs it leaves
-    short get hopcroft_karp's _finish; a size still below k must pass
-    konig_cover, whose error is raised again naming the graph. Every
-    result passes _check_batch."""
+    it. The batch greedy settles most dense graphs. The graphs it leaves
+    short get _numpy_finish up to order _NUMPY_MAX_N and _scalar_finish
+    above it, where numpy's phases, one path per graph, cost more than
+    Python's search on the sparse sides. Both prove every size short of k
+    by a König cover, and every result passes _check_batch."""
     pair, free_r = _batch_greedy(rows, n)
     size = (pair >= 0).sum(axis=1)
     short = np.flatnonzero(size < (rows != 0).sum(axis=1))
     if len(short):
-        sub = pair[short]
-        pair_r = np.full(sub.shape, -1, dtype=sub.dtype)
-        gi, u = np.nonzero(sub >= 0)
-        pair_r[gi, sub[gi, u]] = u
-        place = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-        free_l = np.bitwise_or.reduce(np.where(sub < 0, place, np.uint64(0)), axis=1)
-        pair_l, sizes = sub.tolist(), []
-        for r, pl, pr, fr, fl in zip(
-            map(np.ndarray.tolist, rows[short]), pair_l, pair_r.tolist(),
-            free_r[short].tolist(), free_l.tolist(),
-        ):
-            fr, fl = _finish(r, pl, pr, fr, fl)
-            if fl.bit_count() > r.count(0):
-                try:
-                    konig_cover(r, pr, fr, fl)
-                except InternalInconsistencyError as e:
-                    raise InternalInconsistencyError(
-                        f"{emit_graph6(Graph(n, r))}: {e}"
-                    ) from None
-            sizes.append(n - fl.bit_count())
-        pair[short], size[short] = pair_l, sizes
+        finish = _numpy_finish if n <= _NUMPY_MAX_N else _scalar_finish
+        pair[short], size[short] = finish(rows[short], pair[short], free_r[short], n)
     _check_batch(rows, pair, size, n)
     return size.tolist()
 
@@ -406,7 +538,8 @@ def _sweep_task(args) -> Tuple[SweepStats, List[str]]:
     flipped) a second one, gets one verdict and one tally on columns."""
     n, source, which, paired, lo, hi = args
     stats, rows, tails = empty_stats(which), [], {}
-    for bits in _bit_batches(source, lo, hi):
+    batch = _NUMPY_BATCH if n <= _NUMPY_MAX_N else _BATCH
+    for bits in _bit_batches(source, lo, hi, batch):
         g_rows = _batch_rows(n, bits)
         gc_rows = ~g_rows & np.array([(1 << n) - 1 ^ 1 << v for v in range(n)], dtype=np.uint64)
         slots, m = bits.shape[1], bits.sum(axis=1)

@@ -1,12 +1,15 @@
 """The sweep's batch solve: 2*alpha' from a numpy greedy and, for the
-graphs it leaves short, hopcroft_karp's finish (one length-3 pass, then one
-augmenting search per free vertex). It equals bulk_alpha2 on every graph of
-order at most 6 and networkx on sampled batches of both sides, as does
-hopcroft_karp, and each path settles some graph. The cover check behind
-every size the search leaves short rejects a matching that is not maximum,
-naming the graph; the primal check behind every result, in its
-pure-Python reference and its batch form, rejects tampered matchings and
-no real one."""
+graphs it leaves short, one of two finishes chosen by order. Up to the cut
+harness._NUMPY_MAX_N the short graphs of a batch run Hopcroft-Karp phases
+together in numpy, with one augmenting path per graph and phase; above it
+each gets hopcroft_karp's finish in Python (one length-3 pass, then one
+augmenting search per free vertex). The solve equals bulk_alpha2 on every
+graph of order at most 6, and networkx and hopcroft_karp on sampled
+batches of both sides on both sides of the cut, and each path settles
+some graph. The cover check behind each finish rejects a matching that is
+not maximum, naming the graph; the primal check behind every result, in
+its pure-Python reference and its batch form, rejects tampered matchings
+and no real one."""
 
 from fractions import Fraction
 
@@ -21,10 +24,13 @@ from fracmatch.errors import InternalInconsistencyError
 from fracmatch.graph import Graph, bits, check_matching
 from fracmatch.graph6 import emit_graph6
 from fracmatch.harness import (
+    _NUMPY_MAX_N,
     SampleSpec,
     _batch_alpha2,
+    _batch_greedy,
     _batch_rows,
     _check_batch,
+    _check_reach,
     _enumeration_bits,
     _sample_bits,
     enumeration_count,
@@ -91,8 +97,9 @@ def test_batch_solve_matches_hopcroft_karp_exhaustive(checked, n):
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 20), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
-@pytest.mark.parametrize("n", [29, 30, 31, 64])
+@pytest.mark.parametrize("n", [*sorted({7, 8, _NUMPY_MAX_N}), 29, 30, 31, 64])
 def test_batch_solve_matches_hopcroft_karp_sampled(checked, n, p):
+    # Orders up to _NUMPY_MAX_N run the numpy finish, the others Python's.
     for rows in sampled_sides(n, p):
         assert _batch_alpha2(rows, n) == networkx_sizes(rows, n) == solver_sizes(rows, n)
     assert sum(checked) == 512
@@ -148,16 +155,60 @@ def test_cover_check_rejects_a_matching_that_is_not_maximum(monkeypatch):
 def test_cover_check_names_the_graph(monkeypatch):
     # With no finish the greedy's matching of a triangle stands: 0 and 1
     # take each other, and 2 stays free next to them while right 2 is free.
+    # The isolated vertices put it above the cut, in the Python finish.
     for name in ("_length3", "_augment"):
         monkeypatch.setattr(bipartite, name, lambda rows, pl, pr, fr, fl: (fr, fl))
+    n = _NUMPY_MAX_N + 1
+    g = Graph.from_edges(n, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(InternalInconsistencyError) as exc:
+        _batch_alpha2(np.array([g.rows], dtype=np.uint64), n)
+    assert str(exc.value) == f"{emit_graph6(g)}: matching of size 2 has an augmenting path"
+
+
+def test_numpy_cover_check_names_the_graph(monkeypatch):
+    # A phase that augments nothing but reports its search's reach leaves
+    # the greedy's matching of a triangle, whose reach meets right 2.
+    def idle(rows, pair_l, pair_r, free_l, free_r, place, phase=harness._phase):
+        copies = [a.copy() for a in (pair_l, pair_r, free_l, free_r)]
+        grew, reached_l, reached_r = phase(rows, *copies, place)
+        return np.zeros_like(grew), reached_l, reached_r
+
+    monkeypatch.setattr(harness, "_phase", idle)
     g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(InternalInconsistencyError) as exc:
         _batch_alpha2(np.array([g.rows], dtype=np.uint64), 3)
     assert str(exc.value) == f"{emit_graph6(g)}: matching of size 2 has an augmenting path"
 
 
+def star_reach(reached_l, reached_r):
+    """_check_reach on the star with centre 0 and leaves 1, 2, 3, under
+    its greedy's matching (0 and 1 take each other; leaves 2 and 3 stay
+    free on both sides), which is maximum, and the given reach. The free
+    left vertices' whole reach is left {1, 2, 3} and right {0}."""
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    rows = np.array([g.rows], dtype=np.uint64)
+    pair, free_r = _batch_greedy(rows, 4)
+    assert pair.tolist() == [[1, 0, -1, -1]] and free_r.tolist() == [0b1100]
+    reach = [np.array([m], dtype=np.uint64) for m in (reached_l, reached_r)]
+    try:
+        _check_reach(rows, free_r, *reach, np.array([2]), 4)
+    except InternalInconsistencyError as e:
+        assert str(e).startswith(emit_graph6(g) + ": ")
+        return str(e)[len(emit_graph6(g)) + 2:]
+
+
+def test_numpy_cover_check_passes_the_whole_reach_only():
+    assert star_reach(0b1110, 0b0001) is None
+    # Without right 0's partner, left 1, the cover takes both 1 and right 0.
+    assert star_reach(0b1100, 0b0001) == "cover of size 3 does not certify matching size 2"
+    # A reached left vertex whose neighbour is not reached.
+    assert star_reach(0b1110, 0) == "cover of size 1 misses an edge"
+    # A reach that meets free right 2.
+    assert star_reach(0b1110, 0b0101) == "matching of size 2 has an augmenting path"
+
+
 def test_batch_solve_takes_a_batch_of_one_at_every_order():
-    for n in (2, 63, 64):
+    for n in (*range(2, _NUMPY_MAX_N + 1), 63, 64):
         rows, rows_c = sampled_sides(n, Fraction(1, 2), count=1)
         both = np.concatenate([rows, rows_c])
         assert _batch_alpha2(both, n) == networkx_sizes(both, n)
@@ -166,8 +217,9 @@ def test_batch_solve_takes_a_batch_of_one_at_every_order():
 def test_batch_solve_needs_no_numpy_past_the_floor(monkeypatch):
     # pyproject promises numpy >= 1.24; np.bitwise_count came in 2.0.
     monkeypatch.delattr(np, "bitwise_count", raising=False)
-    rows, rows_c = sampled_sides(64, Fraction(1, 2), count=32)
-    assert _batch_alpha2(rows_c, 64) == networkx_sizes(rows_c, 64)
+    for n in (_NUMPY_MAX_N, 64):
+        rows, rows_c = sampled_sides(n, Fraction(1, 2), count=32)
+        assert _batch_alpha2(rows_c, n) == networkx_sizes(rows_c, n)
 
 
 # ------------------------------------------------------------- primal check

@@ -18,7 +18,8 @@ from fracmatch.graph import Graph
 from fracmatch.graph6 import emit_graph6
 from fracmatch.ngbounds import sweep_with_rows
 from fracmatch.harness import (
-    _BATCH,
+    _NUMPY_BATCH,
+    _NUMPY_MAX_N,
     GOLDEN,
     SampleSpec,
     _batch_keys,
@@ -178,9 +179,20 @@ def test_batch_boundaries_keep_pairs():
 
 def test_sweep_task_across_batches_matches_scalar_sweep():
     # lo..hi starts inside the first batch and crosses two boundaries
-    lo, hi = _BATCH - 56, 2 * _BATCH + 88
-    task = _sweep_task((5, partial(_enumeration_bits, 5), "nonempty", False, lo, hi))
-    graphs = [g for g, _ in scalar_pairs(5, range(lo, hi))]
+    lo, hi = _NUMPY_BATCH - 56, 2 * _NUMPY_BATCH + 88
+    task = _sweep_task((6, partial(_enumeration_bits, 6), "nonempty", False, lo, hi))
+    graphs = [g for g, _ in scalar_pairs(6, range(lo, hi))]
+    assert task == sweep_with_rows(graphs, "nonempty")
+
+
+@pytest.mark.parametrize("n", [7, _NUMPY_MAX_N])
+def test_sampled_sweep_across_small_order_batches_matches_sample_graph(n):
+    # draws lo..hi-1 cross two batch boundaries of the small orders; the
+    # scalar path draws each graph alone with sample_graph
+    spec = SampleSpec(n=n, p_num=1, p_den=3, count=3 * _NUMPY_BATCH, seed=2800 + n)
+    lo, hi = _NUMPY_BATCH - 56, 2 * _NUMPY_BATCH + 88
+    task = _sweep_task((n, partial(_sample_bits, spec), "nonempty", False, lo, hi))
+    graphs = [sample_graph(spec, k) for k in range(lo, hi)]
     assert task == sweep_with_rows(graphs, "nonempty")
 
 
