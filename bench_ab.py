@@ -11,7 +11,15 @@ under workloads.certify), so give it a new --out name.
 Each seed runs `fmbench/run.py --workload W --seed N --trace 0` once in
 each tree for every workload W, each from its own copy of src/ and
 fmbench/; the parent goes first on odd seeds. Nothing under fmbench/ is
-edited or patched.
+edited or patched. Both trees run from source: the script refuses to start
+while either holds a __pycache__ under src/ or fmbench/, since bytecode
+cached on one side alone skews setup_s and the sweeps' rates.
+
+The claim block of each workload gives, for every end-to-end metric of
+BENCHMARK.json (read, never edited) and in that metric's direction, the
+pairs the change wins, the median change and the parent's interquartile
+range. The summary goes under "workloads" in the named file; other keys
+are kept.
 """
 
 import argparse
@@ -27,6 +35,24 @@ import numpy
 
 HERE = Path(__file__).resolve().parent
 NOTES = ("cert_ms_p50", "cert_ms_p99", "cert_samples")
+# "higher" or "lower" is better, per end-to-end metric.
+BETTER = {m["name"]: m["better"]
+          for m in json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def check_trees(trees: list) -> None:
+    """Exit if any tree holds cached bytecode under src/ or fmbench/."""
+    cached = [str(p) for t in trees for d in ("src", "fmbench") for p in (t / d).rglob("__pycache__")]
+    if cached:
+        raise SystemExit("cached bytecode would skew the runs; remove " + " ".join(cached))
+
+
+def measure_pair(seed: int, measure) -> dict:
+    """measure(side, seed) on both sides, the parent first on odd seeds."""
+    order = ("parent", "change") if seed % 2 else ("change", "parent")
+    pair = {"seed": seed, "first": order[0]}
+    pair.update({side: measure(side, seed) for side in order})
+    return pair
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -50,22 +76,43 @@ def spread(xs: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": sorted(xs)}
 
 
-def compare(pairs: list) -> dict:
-    """Per-metric spreads of one workload's pairs, and the claim test."""
+def compare(pairs: list, better: dict = BETTER) -> dict:
+    """Per-metric spreads of one workload's pairs, and the claim test of
+    each metric in better, which maps it to "higher" or "lower"."""
     summary = {
         metric: {side: spread([p[side][metric] for p in pairs]) for side in ("parent", "change")}
-        for metric in ("graphs_per_s", "setup_s", "peak_rss_mb", *NOTES)
+        for metric in (*better, *NOTES)
         if metric in pairs[0]["parent"]
     }
-    rate = summary["graphs_per_s"]
-    wins = sum(p["change"]["graphs_per_s"] > p["parent"]["graphs_per_s"] for p in pairs)
-    claim = {
-        "median_ratio": rate["change"]["median"] / rate["parent"]["median"],
-        "median_gain": rate["change"]["median"] - rate["parent"]["median"],
-        "parent_iqr": rate["parent"]["q3"] - rate["parent"]["q1"],
-        "change_wins": f"{wins}/{len(pairs)}",
-    }
+    claim = {}
+    for metric, way in better.items():
+        if metric not in summary:
+            continue
+        sign = 1 if way == "higher" else -1
+        wins = sum(sign * (p["change"][metric] - p["parent"][metric]) > 0 for p in pairs)
+        parent, change = summary[metric]["parent"], summary[metric]["change"]
+        claim[metric] = {
+            "better": way,
+            "change_wins": f"{wins}/{len(pairs)}",
+            "median_ratio": change["median"] / parent["median"],
+            "median_change": change["median"] - parent["median"],
+            "parent_iqr": parent["q3"] - parent["q1"],
+        }
     return {"claim": claim, "summary": summary, "pairs": pairs}
+
+
+def machine() -> dict:
+    return {"cpus": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "platform": f"{platform.system()} {platform.machine()}"}
+
+
+def write(out: str, updates: dict) -> None:
+    """Set updates' keys in the JSON file out beside this script, keeping
+    its other keys."""
+    path = HERE / out
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc.update(updates)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def main() -> None:
@@ -81,20 +128,16 @@ def main() -> None:
         ap.error("quartiles need at least two seeds")
     workloads = args.workloads.split(",")
     trees = {"parent": args.parent.resolve(), "change": HERE}
+    check_trees(list(trees.values()))
     pairs = {w: [] for w in workloads}
     for seed in range(lo, hi + 1):
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
         for w in workloads:
-            pair = {"seed": seed, "first": order[0]}
-            pair.update({side: run(trees[side], w, seed, args.seconds) for side in order})
+            pair = measure_pair(seed, lambda side, s: run(trees[side], w, s, args.seconds))
             pairs[w].append(pair)
             print(seed, w, {s: round(pair[s]["graphs_per_s"]) for s in ("parent", "change")},
                   flush=True)
-    machine = {"cpus": os.cpu_count(), "python": platform.python_version(),
-               "numpy": numpy.__version__, "platform": f"{platform.system()} {platform.machine()}"}
-    doc = {"what": __doc__.split("\n\n")[0].replace("\n", " "), "seconds": args.seconds,
-           "machine": machine, "workloads": {w: compare(pairs[w]) for w in workloads}}
-    (HERE / args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    write(args.out, {"what": __doc__.split("\n\n")[0].replace("\n", " "), "seconds": args.seconds,
+                     "machine": machine(), "workloads": {w: compare(pairs[w]) for w in workloads}})
 
 
 if __name__ == "__main__":

@@ -9,11 +9,12 @@ any worker count.
 
 Sampled and enumerated streams are built in batches of _BATCH graphs
 (_NUMPY_BATCH for a sweep of order up to _NUMPY_MAX_N) from one
-(batch x slots) matrix of edge bits: numpy gathers it, through one
-cached index map per order, into adjacency rows and, for sweeps, into
-graph6 keys, so no stream calls Graph.from_mask or emit_graph6 per graph,
-and the memory a batch takes is bounded by its fixed size whatever the
-population.
+(batch x slots + 1) uint8 matrix of edge bits, its last column zero: numpy
+gathers it, through one cached index map per order, into adjacency rows
+and, for sweeps, into graph6 keys, so no stream calls Graph.from_mask or
+emit_graph6 per graph, and the memory a batch takes is bounded by its
+fixed size whatever the population. A sample draws its bits in blocks of
+_BLOCK slot columns, so its uint64 draws never span the whole batch.
 
 A sweep also takes each batch's complement rows, edge counts and
 isolate-free flags from those arrays, and works per batch: one batch
@@ -60,8 +61,12 @@ _M64 = (1 << 64) - 1
 ENUM_DEFAULT_MAX_N = 7
 ENUM_HARD_MAX_N = 8
 
-# Graphs per batch. At n = 64 a batch's uint64 draw matrix is about 4 MB.
+# Graphs per batch. At n = 64 a batch's edge bits take about 0.5 MB.
 _BATCH = 256
+# Slot columns per block of a sampled draw: a 256-graph block's uint64
+# draws and their scratch copy take 0.5 MB, against 8 MB for all 2,016
+# columns at n = 64.
+_BLOCK = 128
 # Sweeps of order up to _NUMPY_MAX_N finish their short graphs in numpy,
 # in batches of _NUMPY_BATCH graphs that spread numpy's per-call cost.
 # The cut is measured by bench_cut.py: past it, numpy's finish stops
@@ -94,18 +99,14 @@ def _splitmix64_np(z: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Batches of edge bits: row k, column j is 1 iff graph k has edge slot j.
+# Each batch has one zero column after its slots; the index maps below send
+# every position that holds no edge slot to that column.
 
 def _bit_batches(
     source: Callable[[int, int], np.ndarray], lo: int, hi: int, batch: int = _BATCH
 ) -> Iterator[np.ndarray]:
     for start in range(lo, hi, batch):
         yield source(start, min(start + batch, hi))
-
-
-def _padded(bits: np.ndarray) -> np.ndarray:
-    """bits with one zero column appended: the index maps below send every
-    position that holds no edge slot to that column."""
-    return np.pad(bits, ((0, 0), (0, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +136,7 @@ def _row_map(n: int) -> np.ndarray:
 def _batch_rows(n: int, bits: np.ndarray) -> np.ndarray:
     """(B, n) uint64 adjacency rows, as Graph.from_mask builds them, of each
     row of bits."""
-    adj = np.take(_padded(bits), _row_map(n), axis=1)
+    adj = np.take(bits, _row_map(n), axis=1)
     packed = np.packbits(adj, axis=2, bitorder="little")
     return packed.view(f"<u{packed.shape[2]}")[:, :, 0].astype("<u8", copy=False)
 
@@ -170,7 +171,7 @@ def _batch_keys(n: int, bits: np.ndarray) -> List[str]:
     """emit_graph6 of each row of bits."""
     b, index = len(bits), _key_map(n)
     width = len(index) // 8
-    data = np.take(_padded(bits), index, axis=1)
+    data = np.take(bits, index, axis=1)
     text = (np.packbits(data, axis=1) + 63).tobytes().decode("ascii")
     head = _header(n)
     return [head + text[i * width : (i + 1) * width] for i in range(b)]
@@ -197,10 +198,12 @@ def _check_enumeration(n: int, allow_large: bool) -> None:
 
 
 def _enumeration_bits(n: int, lo: int, hi: int) -> np.ndarray:
-    """Edge bits of masks lo..hi-1: mask k has slot j iff bit j of k is set."""
-    slots = np.arange(n * (n - 1) // 2, dtype=np.uint64)
-    masks = np.arange(lo, hi, dtype=np.uint64)
-    return (masks[:, None] >> slots & np.uint64(1)).astype(np.uint8)
+    """Edge bits of masks lo..hi-1: mask k has slot j iff bit j of k is set.
+    The zero column reads bit slots of k, clear in every mask. The bits are
+    unpacked from each mask's bytes, so no (batch x slots) uint64 array is
+    made."""
+    masks = np.arange(lo, hi, dtype="<u8")[:, None].view(np.uint8)
+    return np.unpackbits(masks, axis=1, bitorder="little")[:, : n * (n - 1) // 2 + 1]
 
 
 def enumerate_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
@@ -276,21 +279,30 @@ def sample_graph(spec: SampleSpec, index: int) -> Graph:
 
 
 def _sample_bits(spec: SampleSpec, lo: int, hi: int) -> np.ndarray:
-    """Vectorized edge bits for draws lo..hi-1."""
+    """Vectorized edge bits for draws lo..hi-1, with the zero column. The
+    draws of each block of _BLOCK slot columns are compared straight into
+    the output."""
     if not 0 <= lo <= hi <= spec.count:
         raise PreconditionError(f"range {lo}..{hi} outside 0..{spec.count}")
+    slots = len(edge_slots(spec.n))
+    out = np.zeros((hi - lo, slots + 1), dtype=bool)
+    bits, thresh = out[:, :slots], spec.threshold
+    if thresh >= 1 << 64:
+        bits[:] = True
+        return out.view(np.uint8)
     idx = np.arange(lo, hi, dtype=np.uint64)
     gs = _splitmix64_np(np.uint64(spec.seed) + (idx + np.uint64(1)) * np.uint64(GOLDEN))
-    j = (np.arange(len(edge_slots(spec.n)), dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
-    r = _splitmix64_np(gs[:, None] + j[None, :])
-    thresh = spec.threshold
-    if thresh >= 1 << 64:
-        return np.ones(r.shape, dtype=np.uint8)
-    return (r < np.uint64(thresh)).view(np.uint8)
+    j = (np.arange(slots, dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
+    # No block's draws stay bound past its compare, so no two are alive.
+    for c in range(0, slots, _BLOCK):
+        np.less(_splitmix64_np(gs[:, None] + j[c : c + _BLOCK]), np.uint64(thresh),
+                out=bits[:, c : c + _BLOCK])
+    return out.view(np.uint8)
 
 
 def sample_masks(spec: SampleSpec, lo: int, hi: int) -> List[int]:
-    """Vectorized edge masks for draws lo..hi-1."""
+    """Vectorized edge masks for draws lo..hi-1 (the zero column adds no
+    bit)."""
     packed = np.packbits(_sample_bits(spec, lo, hi), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
@@ -539,15 +551,18 @@ def _sweep_task(args) -> Tuple[SweepStats, List[str]]:
     n, source, which, paired, lo, hi = args
     stats, rows, tails = empty_stats(which), [], {}
     batch = _NUMPY_BATCH if n <= _NUMPY_MAX_N else _BATCH
+    slots = n * (n - 1) // 2
+    # A complement's bits flip the slot columns, never the zero column.
+    flip = (np.arange(slots + 1) < slots).view(np.uint8)
     for bits in _bit_batches(source, lo, hi, batch):
         g_rows = _batch_rows(n, bits)
         gc_rows = ~g_rows & np.array([(1 << n) - 1 ^ 1 << v for v in range(n)], dtype=np.uint64)
-        slots, m = bits.shape[1], bits.sum(axis=1)
+        m = bits.sum(axis=1)
         g_free, gc_free = (g_rows != 0).all(axis=1), (gc_rows != 0).all(axis=1)
         a_g, a_gc = _batch_alpha2(g_rows, n), _batch_alpha2(gc_rows, n)
         sides = [(_batch_keys(n, bits), a_g, a_gc, m, g_free, gc_free, g_rows)]
         if paired:
-            sides.append((_batch_keys(n, bits ^ 1), a_gc, a_g, slots - m, gc_free, g_free, gc_rows))
+            sides.append((_batch_keys(n, bits ^ flip), a_gc, a_g, slots - m, gc_free, g_free, gc_rows))
         for keys, x, y, m_x, x_free, y_free, x_rows in sides:
             v = bound_verdict(which, n, np.array(x), np.array(y), m_x, slots - m_x, x_free, y_free)
             part, part_rows = tally(

@@ -388,6 +388,9 @@ SWEEP_DIGESTS = [
     (("--sample", "64,1/2,100,7", "--bound", "isolate_free"),
      "c369733314e15a8c45190d4e8710b7ee94811b3f82ae47d8690dfadd84c30108",
      "23234f9d40dd3129717d5bb73c5fb4fa71db59d4e0aeec7fb3c9b46d36aa7ec6"),
+    (("--sample", "64,9/10,600,11", "--bound", "isolate_free", "--workers", "2"),
+     "cb07f60360b958f78cd52cf9fdc6a37890f79deae6db633e5ca04b93df135e57",
+     "2351db9e30dca569359299e224d75e5491748abee656cbcad2489a29201769ea"),
 ]
 
 

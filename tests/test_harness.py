@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -18,6 +19,8 @@ from fracmatch.graph import Graph
 from fracmatch.graph6 import emit_graph6
 from fracmatch.ngbounds import sweep_with_rows
 from fracmatch.harness import (
+    _BATCH,
+    _BLOCK,
     _NUMPY_BATCH,
     _NUMPY_MAX_N,
     GOLDEN,
@@ -91,18 +94,41 @@ def test_sample_determinism_frozen():
     ]
 
 
-def test_scalar_matches_batch():
-    spec = SampleSpec(n=9, p_num=1, p_den=3, count=30, seed=77)
-    masks = sample_masks(spec, 0, spec.count)
-    for k in range(spec.count):
-        assert sample_graph(spec, k).to_mask() == masks[k]
+def test_scalar_matches_batch(monkeypatch):
+    # Slot counts under one block (n = 9), one block and part of the next
+    # (n = 17), and many blocks (n = 64: 15 whole and a partial one); then,
+    # with the width patched, slots equal to it, one past it and three
+    # times it. Each draw range crosses the first batch boundary.
+    cases = [(9, _BLOCK), (17, _BLOCK), (24, _BLOCK), (45, _BLOCK), (64, _BLOCK),
+             (17, 136), (17, 135), (30, 145)]
+    lo, hi = _BATCH - 6, _BATCH + 6
+    for n, block in cases:
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        spec = SampleSpec(n=n, p_num=1, p_den=3, count=hi, seed=77 + n)
+        scalar = [sample_graph(spec, k).to_mask() for k in range(lo, hi)]
+        assert sample_masks(spec, lo, hi) == scalar, (n, block)
 
 
 def test_sample_extreme_probabilities():
-    zero = SampleSpec(n=6, p_num=0, p_den=1, count=4, seed=5)
-    assert all(g == empty_graph(6) for g in sample_graphs(zero))
-    one = SampleSpec(n=6, p_num=1, p_den=1, count=4, seed=5)
-    assert all(g == complete(6) for g in sample_graphs(one))
+    for n in (6, 64):
+        zero = SampleSpec(n=n, p_num=0, p_den=1, count=4, seed=5)
+        assert all(g == empty_graph(n) for g in sample_graphs(zero))
+        one = SampleSpec(n=n, p_num=1, p_den=1, count=4, seed=5)
+        assert all(g == complete(n) for g in sample_graphs(one))
+
+
+def test_sample_draws_one_block_at_a_time():
+    # One n = 64 batch drawn as a whole (256 x 2,016) uint64 matrix, with
+    # its scratch copy, peaks at 8.3 MB; its bool output alone takes 0.5 MB.
+    spec = SampleSpec(n=64, p_num=1, p_den=2, count=_BATCH, seed=29)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _sample_bits(spec, 0, _BATCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_spec_parse():
@@ -206,11 +232,12 @@ def test_sweep_with_rows_matches_pair_loop():
 
 
 def mask_bits(n, masks, lo, hi):
-    """Edge bits of masks[lo:hi]: a sweep bit source over a fixed list."""
+    """Edge bits of masks[lo:hi] and the zero column: a sweep bit source
+    over a fixed list."""
     slots = n * (n - 1) // 2
     return np.array(
-        [[m >> j & 1 for j in range(slots)] for m in masks[lo:hi]], dtype=np.uint8
-    ).reshape(hi - lo, slots)
+        [[m >> j & 1 for j in range(slots + 1)] for m in masks[lo:hi]], dtype=np.uint8
+    ).reshape(hi - lo, slots + 1)
 
 
 def kernel_and_scalar(n, source, count, which):

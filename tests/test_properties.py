@@ -29,11 +29,12 @@ def graphs(draw, min_n=0, max_n=64):
 
 
 def slot_bits(n, masks):
-    """(len(masks), slots) edge bits: column j is slot j of each mask."""
+    """(len(masks), slots + 1) edge bits: column j is slot j of each mask,
+    and the last column is zero."""
     slots = n * (n - 1) // 2
     return np.array(
-        [[m >> j & 1 for j in range(slots)] for m in masks], dtype=np.uint8
-    ).reshape(len(masks), slots)
+        [[m >> j & 1 for j in range(slots + 1)] for m in masks], dtype=np.uint8
+    ).reshape(len(masks), slots + 1)
 
 
 @settings(PROPERTY, max_examples=5)
